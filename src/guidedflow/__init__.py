@@ -38,7 +38,6 @@ from .flow import (
     gm_velocity,
     gm_velocity_batch,
     gm_velocity_vjp,
-    mixture_component_params,
     one_step_estimate,
     sample_unguided,
     sample_unguided_batch,

@@ -112,9 +112,6 @@ class ChunkScheduleState:
     active_chunk: np.ndarray
     exec_index: int
     pending: Optional[PendingRequest]
-    delay: int
-    replan_every: int
-    horizon: int
 
 
 @dataclass
@@ -179,14 +176,7 @@ class ChunkExecutor:
         first = guided_denoise(
             noise, obs, self.field, None, replace(self.config, method=GuidanceMethod.NAIVE)
         )
-        self.state = ChunkScheduleState(
-            active_chunk=first,
-            exec_index=0,
-            pending=None,
-            delay=self.delay,
-            replan_every=self.replan_every,
-            horizon=self.horizon,
-        )
+        self.state = ChunkScheduleState(active_chunk=first, exec_index=0, pending=None)
         self._last_action = None
         self._actions = []
         self.requests = []
@@ -198,18 +188,18 @@ class ChunkExecutor:
             raise StructuralError("call reset() before step()")
         t = self.env.step_count
         event = None
-        if st.pending is not None and t - st.pending.issued_at >= st.delay:
+        if st.pending is not None and t - st.pending.issued_at >= self.delay:
             event = self._swap(t)
         # A request is issued only when none is in flight; under s = max(d, 1)
         # the previous one has always just arrived.
-        if t % st.replan_every == 0 and st.pending is None:
+        if t % self.replan_every == 0 and st.pending is None:
             self._issue(t)
-            if st.delay == 0:
+            if self.delay == 0:
                 event = self._swap(t)
-        if st.exec_index >= st.horizon:
+        if st.exec_index >= self.horizon:
             raise ScheduleOverrun(
                 f"chunk exhausted at env step {t} before the pending chunk arrived "
-                f"(d={st.delay}, s={st.replan_every}, H={st.horizon})"
+                f"(d={self.delay}, s={self.replan_every}, H={self.horizon})"
             )
         action = np.clip(st.active_chunk[st.exec_index], -1.0, 1.0)
         self.env.step(action)
@@ -243,12 +233,11 @@ class ChunkExecutor:
         )
 
     def _issue(self, t: int) -> None:
-        st = self.state
         obs = self.env.observe()
-        noise = self.rng.standard_normal((st.horizon, self.env.action_dim))
-        target = build_inpaint_target(st.active_chunk, st.replan_every)
-        mask = build_soft_mask(st.horizon, st.delay, st.replan_every, self.mask_decay)
-        st.pending = PendingRequest(
+        noise = self.rng.standard_normal((self.horizon, self.env.action_dim))
+        target = build_inpaint_target(self.state.active_chunk, self.replan_every)
+        mask = build_soft_mask(self.horizon, self.delay, self.replan_every, self.mask_decay)
+        self.state.pending = PendingRequest(
             issued_at=t, observation=obs, noise=noise, inpaint=InpaintTarget(target, mask)
         )
 
@@ -259,7 +248,7 @@ class ChunkExecutor:
         if self.record_requests:
             self.requests.append(RequestRecord(req.issued_at, req.inpaint, chunk))
         st.active_chunk = chunk
-        st.exec_index = st.delay
+        st.exec_index = self.delay
         st.pending = None
         if self._last_action is None:
             return None

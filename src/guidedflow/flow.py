@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "gm_velocity",
     "gm_velocity_batch",
     "gm_velocity_vjp",
-    "mixture_component_params",
     "one_step_estimate",
     "estimate_vjp",
     "sample_unguided",
@@ -241,9 +240,6 @@ class GaussianMixtureField(VelocityField):
     def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
         return gm_velocity(chunk, tau, self.params)
 
-    def evaluate_batch(self, chunks: np.ndarray, tau: float) -> np.ndarray:
-        return gm_velocity_batch(chunks, tau, self.params)
-
     def velocity_vjp(
         self, chunk: np.ndarray, tau: float, observation: Any, cotangent: np.ndarray
     ) -> np.ndarray:
@@ -342,14 +338,3 @@ def sample_unguided_batch(
         x += gm_velocity_batch(x, k / n, params) / n
     return x
 
-
-def mixture_component_params(
-    components: Sequence[tuple[float, np.ndarray, float]]
-) -> GaussianMixtureFieldParams:
-    """Build params from (weight, mean, scale) triples."""
-    if len(components) == 0:
-        raise StructuralError("mixture must have at least one component")
-    weights = np.array([c[0] for c in components], dtype=float)
-    means = np.stack([np.asarray(c[1], dtype=float) for c in components])
-    scales = np.array([c[2] for c in components], dtype=float)
-    return GaussianMixtureFieldParams(weights=weights, means=means, scales=scales)

@@ -89,11 +89,11 @@ class GuidanceConfig:
             raise StructuralError(f"sigma_d must be positive, got {self.sigma_d}")
         if not (self.rho > 0.0):
             raise StructuralError(f"rho must be positive (or inf), got {self.rho}")
-        if not (self.beta > 0.0):
-            raise StructuralError(f"beta must be positive, got {self.beta}")
         if int(self.n_steps) < 1:
             raise StructuralError(f"n_steps must be >= 1, got {self.n_steps}")
         self.n_steps = int(self.n_steps)
+        if not (self.beta > 0.0):
+            raise StructuralError(f"beta must be positive, got {self.beta}")
         if not (0.0 < self.epsilon <= 1e-6):
             raise StructuralError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
 

@@ -18,15 +18,15 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor
+from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask
 from .envs import TaskVariant, default_variants, make_env, make_field
-from .errors import ConfigError
+from .errors import ConfigError, StructuralError
 from .guidance import GuidanceConfig, GuidanceMethod
 from .metrics import aggregate_weighted, episode_metrics, worst_case
 
@@ -107,8 +107,6 @@ class ExperimentConfig:
                 raise ConfigError(f"delay {d} must satisfy 0 <= d < horizon={self.horizon}")
         if self.episodes_per_cell < 1:
             raise ConfigError("episodes_per_cell must be >= 1")
-        if self.beta is not None and self.beta <= 0:
-            raise ConfigError("beta must be positive when set")
         if len(self.variants) == 0:
             raise ConfigError("at least one variant is required")
         names = [v[0] for v in self.variants]
@@ -122,6 +120,12 @@ class ExperimentConfig:
             if int(weight) < 1:
                 raise ConfigError("variant weights must be >= 1")
         self.variants = tuple((str(n), int(w)) for n, w in self.variants)
+        # Fail here, before any output exists, rather than in the first episode.
+        try:
+            self.guidance_for(self.methods[0])
+            build_soft_mask(self.horizon, 0, 1, self.mask_decay)
+        except StructuralError as err:
+            raise ConfigError(str(err)) from err
 
     @property
     def resolved_beta(self) -> float:
@@ -295,20 +299,34 @@ def _cell_means(rows: Sequence[ResultRow]) -> dict:
     }
 
 
-def _suite_delay_means(rows: Sequence[ResultRow], suite: str, delays: Sequence[int]) -> dict:
-    """Arithmetic mean over delays of per-delay cell means for one suite."""
-    per_delay = [
-        _cell_means([r for r in rows if r.suite == suite and r.delay == d]) for d in delays
-    ]
+def _cells(rows: Sequence[ResultRow]) -> dict:
+    """(method, suite, delay) -> _cell_means of that cell, grouped in one pass."""
+    groups: dict = {}
+    for r in rows:
+        groups.setdefault((r.method, r.suite, r.delay), []).append(r)
+    return {key: _cell_means(group) for key, group in groups.items()}
+
+
+def _combine(cells: dict, variant_weights: dict[str, int]) -> dict:
+    """Episode-weighted cross-suite value of each metric over a {suite: cell} mapping.
+
+    Suites whose cell has no value for a metric are left out; a metric no
+    suite has a value for is nan.
+    """
     out = {}
     for metric in ALL_METRICS:
-        vals = [c[metric] for c in per_delay if not math.isnan(c[metric])]
-        out[metric] = _mean(vals)
+        pairs = [
+            (variant_weights[s], cells[s][metric])
+            for s in sorted(cells)
+            if not math.isnan(cells[s][metric])
+        ]
+        out[metric] = aggregate_weighted(pairs) if pairs else math.nan
     return out
 
 
-def _clean(x: float) -> Optional[float]:
-    return None if (isinstance(x, float) and math.isnan(x)) else x
+def _clean(block: dict) -> dict:
+    """nan -> None, so metrics without a value serialize as JSON null."""
+    return {metric: None if math.isnan(value) else value for metric, value in block.items()}
 
 
 def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dict:
@@ -328,44 +346,29 @@ def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dic
         "worst_case": {},
         "per_delay": {},
     }
+    table = _cells(rows)
     for method in methods:
-        m_rows = [r for r in rows if r.method == method]
-        per_suite = {s: _suite_delay_means(m_rows, s, agg_delays) for s in suites}
-        method_block = {}
-        for metric in ALL_METRICS:
-            pairs = [
-                (variant_weights[s], per_suite[s][metric])
-                for s in suites
-                if not math.isnan(per_suite[s][metric])
-            ]
-            method_block[metric] = _clean(aggregate_weighted(pairs)) if pairs else None
-        summary["methods"][method] = method_block
-        summary["worst_case"][method] = {
-            f"worst_{metric}": _clean(
-                worst_case(
-                    [per_suite[s][metric] for s in suites if not math.isnan(per_suite[s][metric])]
-                )
-            )
-            if any(not math.isnan(per_suite[s][metric]) for s in suites)
-            else None
-            for metric in SMOOTHNESS_METRICS
+        by_delay = {
+            d: {s: table[(method, s, d)] for s in suites if (method, s, d) in table}
+            for d in agg_delays
         }
-        per_delay_block = {}
-        for d in agg_delays:
-            pairs_by_metric = {}
-            for metric in ALL_METRICS:
-                cells = {
-                    s: _cell_means([r for r in m_rows if r.suite == s and r.delay == d])
-                    for s in suites
-                }
-                pairs = [
-                    (variant_weights[s], cells[s][metric])
-                    for s in suites
-                    if not math.isnan(cells[s][metric])
-                ]
-                pairs_by_metric[metric] = _clean(aggregate_weighted(pairs)) if pairs else None
-            per_delay_block[str(d)] = pairs_by_metric
-        summary["per_delay"][method] = per_delay_block
+        # Per suite, the arithmetic mean over delays of the per-delay cell means.
+        per_suite = {}
+        for s in suites:
+            delay_cells = [cells[s] for cells in by_delay.values() if s in cells]
+            per_suite[s] = {
+                metric: _mean([c[metric] for c in delay_cells if not math.isnan(c[metric])])
+                for metric in ALL_METRICS
+            }
+        summary["methods"][method] = _clean(_combine(per_suite, variant_weights))
+        worst = {}
+        for metric in SMOOTHNESS_METRICS:
+            vals = [c[metric] for c in per_suite.values() if not math.isnan(c[metric])]
+            worst[f"worst_{metric}"] = worst_case(vals) if vals else None
+        summary["worst_case"][method] = worst
+        summary["per_delay"][method] = {
+            str(d): _clean(_combine(cells, variant_weights)) for d, cells in by_delay.items()
+        }
     if "rtc" in summary["methods"]:
         deltas = {}
         rtc_block = summary["methods"]["rtc"]
@@ -386,21 +389,6 @@ def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dic
     return summary
 
 
-def _single_delay_aggregate(
-    rows: Sequence[ResultRow], variant_weights: dict[str, int], delay: int
-) -> dict:
-    suites = sorted({r.suite for r in rows})
-    out = {}
-    for metric in ALL_METRICS:
-        pairs = []
-        for s in suites:
-            cell = _cell_means([r for r in rows if r.suite == s and r.delay == delay])
-            if not math.isnan(cell[metric]):
-                pairs.append((variant_weights[s], cell[metric]))
-        out[metric] = aggregate_weighted(pairs) if pairs else math.nan
-    return out
-
-
 def _run_grid_cells(
     config: ExperimentConfig, method: str, delay: int
 ) -> list[ResultRow]:
@@ -413,6 +401,30 @@ def _run_grid_cells(
     return rows
 
 
+def _grid_search(
+    config: ExperimentConfig,
+    param: str,
+    grid: Sequence[float],
+    method: str,
+    delay: int,
+    header: list[str],
+    path: Optional[Path],
+) -> list[dict]:
+    """One grid row per value of ``param``: the suite-weighted cell means of ``method``."""
+    if len(grid) == 0:
+        raise ConfigError(f"{param} grid must be nonempty")
+    table = []
+    for value in grid:
+        rows = _run_grid_cells(replace(config, **{param: float(value)}), method, delay)
+        cells = {suite: cell for (_, suite, _), cell in _cells(rows).items()}
+        agg = _combine(cells, dict(config.variants))
+        # The header names the parameter, then ALL_METRICS in order.
+        table.append(dict(zip(header, [float(value)] + [agg[m] for m in ALL_METRICS])))
+    if path is not None:
+        _write_table(table, header, path)
+    return table
+
+
 def grid_search_sigma(
     config: ExperimentConfig,
     grid: Sequence[float] = DEFAULT_SIGMA_GRID,
@@ -420,18 +432,8 @@ def grid_search_sigma(
     write: bool = True,
 ) -> list[dict]:
     """Grid search over sigma_d with the prior-corrected weight alone (no OTR)."""
-    if len(grid) == 0:
-        raise ConfigError("sigma_d grid must be nonempty")
-    weights = dict(config.variants)
-    table = []
-    for sigma in grid:
-        cfg = replace(config, sigma_d=float(sigma))
-        rows = _run_grid_cells(cfg, "pc", delay)
-        agg = _single_delay_aggregate(rows, weights, delay)
-        table.append(_grid_row("sigma_d", float(sigma), agg))
-    if write:
-        _write_table(table, SIGMA_GRID_HEADER, Path(config.output_dir) / "grid_sigma.csv")
-    return table
+    path = Path(config.output_dir) / "grid_sigma.csv" if write else None
+    return _grid_search(config, "sigma_d", grid, "pc", delay, SIGMA_GRID_HEADER, path)
 
 
 def grid_search_rho(
@@ -441,30 +443,8 @@ def grid_search_rho(
     write: bool = True,
 ) -> list[dict]:
     """Grid search over the trust-region radius ratio rho with the full method."""
-    if len(grid) == 0:
-        raise ConfigError("rho grid must be nonempty")
-    weights = dict(config.variants)
-    table = []
-    for rho in grid:
-        cfg = replace(config, rho=float(rho))
-        rows = _run_grid_cells(cfg, "potr", delay)
-        agg = _single_delay_aggregate(rows, weights, delay)
-        table.append(_grid_row("rho", float(rho), agg))
-    if write:
-        _write_table(table, RHO_GRID_HEADER, Path(config.output_dir) / "grid_rho.csv")
-    return table
-
-
-def _grid_row(param_name: str, param: float, agg: dict) -> dict:
-    return {
-        param_name: param,
-        "success": agg["success"],
-        "steps": agg["env_steps"],
-        "l2_m": agg["l2_mean"],
-        "l2_M": agg["l2_max"],
-        "acc": agg["max_acc"],
-        "jerk": agg["max_jerk"],
-    }
+    path = Path(config.output_dir) / "grid_rho.csv" if write else None
+    return _grid_search(config, "rho", grid, "potr", delay, RHO_GRID_HEADER, path)
 
 
 def _write_table(table: list[dict], header: list[str], path: Path) -> None:
@@ -537,8 +517,8 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean from {text!r}")
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip().lower() for tok in text.split(",") if tok.strip())
+def _parse_strs(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -582,32 +562,20 @@ def _parse_int(text: str) -> int:
         raise ConfigError(f"cannot parse integer from {text!r}") from err
 
 
-_FIELD_PARSERS = {
-    "methods": _parse_methods,
-    "delays": _parse_ints,
-    "episodes_per_cell": _parse_int,
-    "seed_base": _parse_int,
-    "sigma_d": _parse_float,
-    "rho": _parse_float,
-    "beta": _parse_optional_float,
-    "n_steps": _parse_int,
-    "epsilon": _parse_float,
-    "guide_first_step": _parse_bool,
-    "mask_decay": _parse_float,
-    "horizon": _parse_int,
-    "max_steps": _parse_int,
-    "goal_tolerance": _parse_float,
-    "dynamics_gain": _parse_float,
-    "action_noise_std": _parse_float,
-    "sigma_cond": _parse_float,
-    "ctrl_frac": _parse_float,
-    "clearance": _parse_float,
-    "variants": _parse_variants,
-    "output_dir": str,
-    "overrun_fail_fraction": _parse_float,
+# One parser per field type; a field of any other type fails at import.
+_TYPE_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    Optional[float]: _parse_optional_float,
+    bool: _parse_bool,
+    str: str,
+    tuple[int, ...]: _parse_ints,
+    tuple[str, ...]: _parse_strs,
+    tuple[tuple[str, int], ...]: _parse_variants,
 }
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(ExperimentConfig)}
+_PARSERS = {
+    name: _TYPE_PARSERS[hint] for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -622,16 +590,16 @@ def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_PARSERS:
+            if key not in _PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _FIELD_PARSERS[key](value)
+            values[key] = _PARSERS[key](value)
     if overrides:
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in _FIELD_PARSERS:
+            if key not in _PARSERS:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            values[key] = _FIELD_PARSERS[key](value) if isinstance(value, str) else value
+            values[key] = _PARSERS[key](value) if isinstance(value, str) else value
     try:
         return ExperimentConfig(**values)
     except TypeError as err:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from guidedflow.cli import main
@@ -34,7 +32,7 @@ def test_sweep_roundtrip_and_summarize(tmp_path, capsys):
         ["summarize", "--config", str(cfg), "--rows", str(rows), "--out-file", str(out_file)]
     )
     assert code == 0
-    assert json.loads(out_file.read_text()) == json.loads(summary.read_text())
+    assert out_file.read_bytes() == summary.read_bytes()
 
 
 @pytest.mark.filterwarnings("ignore:no rtc rows present")
@@ -59,6 +57,18 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--methods", "bogus"]) == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1"],
+)
+def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, extra=line + "\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore:no rtc rows present")

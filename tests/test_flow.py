@@ -13,7 +13,6 @@ from guidedflow.flow import (
     gm_velocity,
     gm_velocity_batch,
     gm_velocity_vjp,
-    mixture_component_params,
     one_step_estimate,
     sample_unguided,
     sample_unguided_batch,
@@ -179,8 +178,10 @@ def test_gm_velocity_bimodal_symmetry_and_mc():
 
 def test_gm_velocity_single_equals_duplicated_component():
     mu = np.array([[0.3, -0.2]])
-    one = mixture_component_params([(1.0, mu, 0.6)])
-    two = mixture_component_params([(0.5, mu, 0.6), (0.5, mu, 0.6)])
+    one = GaussianMixtureFieldParams(np.array([1.0]), mu[None], np.array([0.6]))
+    two = GaussianMixtureFieldParams(
+        np.array([0.5, 0.5]), np.stack([mu, mu]), np.array([0.6, 0.6])
+    )
     x = np.array([[0.9, -1.4]])
     for tau in (0.0, 0.3, 0.77):
         assert np.allclose(gm_velocity(x, tau, one), gm_velocity(x, tau, two), atol=1e-12)

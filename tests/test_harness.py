@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -182,6 +183,50 @@ def test_summary_env_steps_over_successes_only():
     assert summary["methods"]["naive"]["success"] == pytest.approx(0.5)
 
 
+def test_summary_missing_cell_and_all_failed_suite():
+    # rtc has no bimodal cell at delay 2, every bimodal episode fails, and
+    # naive has only delay-0 rows, so it has no value anywhere.
+    rows = [
+        ResultRow("rtc", 0, "unimodal", 0, True, 5, 9.0, 9.0, 9.0, 9.0),
+        ResultRow("rtc", 1, "unimodal", 0, True, 10, 0.1, 0.2, 1.0, 2.0),
+        ResultRow("rtc", 1, "unimodal", 1, True, 20, 0.3, 0.4, 3.0, 4.0),
+        ResultRow("rtc", 1, "bimodal", 0, False, 60, 0.5, 0.6, 5.0, 6.0),
+        ResultRow("rtc", 1, "bimodal", 1, False, 60, 0.7, 1.0, 7.0, 10.0),
+        ResultRow("rtc", 2, "unimodal", 0, False, 60, 0.4, 0.5, 4.0, 5.0),
+        ResultRow("naive", 0, "unimodal", 0, True, 8, 1.0, 1.0, 1.0, 1.0),
+    ]
+    summary = summarize(rows, {"unimodal": 1, "bimodal": 3})
+    assert summary["aggregated_delays"] == [1, 2]
+
+    def block(success, env_steps, l2_mean, l2_max, max_acc, max_jerk):
+        return dict(success=success, env_steps=env_steps, l2_mean=l2_mean, l2_max=l2_max,
+                    max_acc=max_acc, max_jerk=max_jerk)
+
+    # Cells (success, env_steps, l2_mean, l2_max, acc, jerk), weights 1 : 3:
+    #   unimodal d1 (1, 15, 0.2, 0.3, 2, 3), d2 (0, nan, 0.4, 0.5, 4, 5)
+    #   bimodal  d1 (0, nan, 0.6, 0.8, 6, 8), d2 missing
+    assert summary["per_delay"]["rtc"]["1"] == pytest.approx(
+        block(0.25, 15.0, 0.5, 0.675, 5.0, 6.75)
+    )
+    assert summary["per_delay"]["rtc"]["2"] == pytest.approx(
+        block(0.0, None, 0.4, 0.5, 4.0, 5.0)
+    )
+    # Delay means per suite: unimodal (0.5, 15, 0.3, 0.4, 3, 4), bimodal as d1.
+    assert summary["methods"]["rtc"] == pytest.approx(
+        block(0.125, 15.0, 0.525, 0.7, 5.25, 7.0)
+    )
+    assert summary["worst_case"]["rtc"] == pytest.approx(
+        dict(worst_l2_mean=0.6, worst_l2_max=0.8, worst_max_acc=6.0, worst_max_jerk=8.0)
+    )
+    empty = block(None, None, None, None, None, None)
+    assert summary["methods"]["naive"] == empty
+    assert summary["per_delay"]["naive"] == {"1": empty, "2": empty}
+    assert summary["worst_case"]["naive"] == dict.fromkeys(
+        ["worst_l2_mean", "worst_l2_max", "worst_max_acc", "worst_max_jerk"]
+    )
+    assert summary["vs_rtc"]["naive"] == empty
+
+
 # ---------------------------------------------------------------------------
 # grids
 
@@ -255,6 +300,8 @@ def test_config_validation_errors():
         ExperimentConfig(variants=(("unimodal", 0),), output_dir="x")
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=(), output_dir="x")
+    with pytest.raises(ConfigError, match="beta"):
+        ExperimentConfig(beta=-1.0, output_dir="x")
 
 
 def test_config_file_parsing(tmp_path):
@@ -282,6 +329,23 @@ guide_first_step = true
     assert config.beta is None and config.mask_decay == 0.4
     assert config.variants == (("unimodal", 1), ("bimodal", 9))
     assert config.guide_first_step is True
+
+
+def _config_text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(
+            ":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value
+        )
+    return "none" if value is None else str(value)
+
+
+def test_config_file_every_field_default(tmp_path):
+    defaults = ExperimentConfig()
+    path = tmp_path / "defaults.cfg"
+    lines = [f"{f.name} = {_config_text(getattr(defaults, f.name))}" for f in fields(defaults)]
+    path.write_text("\n".join(lines) + "\n")
+    assert len(lines) == 22
+    assert load_config(path) == defaults
 
 
 def test_config_file_unknown_key(tmp_path):
