@@ -29,18 +29,13 @@ from .envs import (
 )
 from .errors import ConfigError, DomainError, NumericError, ScheduleOverrun, StructuralError
 from .flow import (
-    FlowState,
     GaussianMixtureField,
     GaussianMixtureFieldParams,
     VelocityField,
     estimate_vjp,
-    euler_step,
     gm_velocity,
-    gm_velocity_batch,
     gm_velocity_vjp,
     one_step_estimate,
-    sample_unguided,
-    sample_unguided_batch,
 )
 from .guidance import (
     GuidanceConfig,

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import StructuralError
 from .flow import GaussianMixtureFieldParams, VelocityField, gm_velocity, gm_velocity_vjp
 
 __all__ = [
@@ -74,7 +75,7 @@ class PointMassEnv:
         self.position = np.asarray(start, dtype=float).copy()
         self.goal = np.asarray(goal, dtype=float).copy()
         if self.position.shape != self.goal.shape or self.position.ndim != 1:
-            raise ValueError("start and goal must be 1-D vectors of equal dimension")
+            raise StructuralError("start and goal must be 1-D vectors of equal dimension")
         self.obstacle = obstacle
         self.max_steps = int(max_steps)
         self.goal_tolerance = float(goal_tolerance)
@@ -132,11 +133,11 @@ class OraclePolicyParams:
 
     def __post_init__(self) -> None:
         if self.modes < 1:
-            raise ValueError("modes must be >= 1")
+            raise StructuralError("modes must be >= 1")
         if self.sigma_cond <= 0.0 or self.gain <= 0.0:
-            raise ValueError("sigma_cond and gain must be positive")
+            raise StructuralError("sigma_cond and gain must be positive")
         if not (0.0 < self.ctrl_frac <= 1.0):
-            raise ValueError("ctrl_frac must lie in (0, 1]")
+            raise StructuralError("ctrl_frac must lie in (0, 1]")
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -185,11 +186,16 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
     if params.chunk_mean_fn is not None:
         means = np.asarray(params.chunk_mean_fn(obs), dtype=float)
         if means.ndim != 3 or means.shape[0] != params.modes:
-            raise ValueError(f"chunk_mean_fn must return (modes, H, D), got {means.shape}")
+            raise StructuralError(f"chunk_mean_fn must return (modes, H, D), got {means.shape}")
     elif params.modes == 1 or obs.obstacle is None:
         plan = _controller_plan(obs, params, side=0.0)
         means = np.repeat(plan[None, :, :], params.modes, axis=0)
     else:
+        if params.modes == 2 and obs.position.shape != (2,):
+            raise StructuralError(
+                f"obstacle-skirting modes are planned in 2-D, got D = {obs.position.shape[0]}; "
+                "supply chunk_mean_fn for other dimensions"
+            )
         sides = [1.0, -1.0] if params.modes == 2 else [0.0] * params.modes
         means = np.stack([_controller_plan(obs, params, side) for side in sides])
     k = means.shape[0]
@@ -207,8 +213,6 @@ class ConditionalGMField(VelocityField):
     within one denoising run the same frozen Observation is passed at every
     step, so the one-slot cache makes conditioning cost per run, not per step.
     """
-
-    has_analytic_jacobian = True
 
     def __init__(self, params: OraclePolicyParams):
         self.oracle = params

@@ -34,19 +34,14 @@ import numpy as np
 from .errors import DomainError, NumericError, StructuralError
 
 __all__ = [
-    "FlowState",
     "VelocityField",
     "GaussianMixtureFieldParams",
     "GaussianMixtureField",
     "as_chunk",
-    "euler_step",
     "gm_velocity",
-    "gm_velocity_batch",
     "gm_velocity_vjp",
     "one_step_estimate",
     "estimate_vjp",
-    "sample_unguided",
-    "sample_unguided_batch",
 ]
 
 # Central-difference step for numerical velocity Jacobians; balances
@@ -64,25 +59,13 @@ def as_chunk(data: Any, name: str = "chunk") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """A point on the denoising trajectory: the noisy chunk at tau = step_index / n."""
-
-    chunk: np.ndarray
-    tau: float
-    step_index: int
-
-
 class VelocityField(abc.ABC):
     """Conditional velocity evaluator v(x, tau, observation).
 
     ``evaluate`` must return finite values for tau in [0, 1) and finite input.
-    Fields with ``has_analytic_jacobian`` set must also implement
-    ``velocity_vjp``; others fall back to central finite differences inside
-    :func:`estimate_vjp`.
+    ``velocity_vjp`` defaults to central finite differences over
+    ``evaluate``; fields with an analytic Jacobian override it.
     """
-
-    has_analytic_jacobian: bool = False
 
     @abc.abstractmethod
     def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
@@ -91,8 +74,23 @@ class VelocityField(abc.ABC):
     def velocity_vjp(
         self, chunk: np.ndarray, tau: float, observation: Any, cotangent: np.ndarray
     ) -> np.ndarray:
-        """u^T (dv/dx) for cotangent u, as an array shaped like ``chunk``."""
-        raise NotImplementedError("field does not provide an analytic Jacobian")
+        """u^T (dv/dx) for cotangent u, as an array shaped like ``chunk``.
+
+        Central finite differences with step ``FD_STEP``, one pair of
+        ``evaluate`` calls per chunk entry.
+        """
+        x = np.asarray(chunk, dtype=float)
+        u = np.asarray(cotangent, dtype=float)
+        out = np.empty_like(x)
+        flat = out.reshape(-1)
+        for j in range(x.size):
+            probe = x.copy().reshape(-1)
+            probe[j] += FD_STEP
+            v_plus = self.evaluate(probe.reshape(x.shape), tau, observation)
+            probe[j] -= 2.0 * FD_STEP
+            v_minus = self.evaluate(probe.reshape(x.shape), tau, observation)
+            flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * FD_STEP)
+        return out
 
 
 @dataclass
@@ -162,32 +160,29 @@ def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams
     return resp, coef, diff, m2
 
 
-def gm_velocity_batch(
-    chunks: np.ndarray, tau: float, params: GaussianMixtureFieldParams
-) -> np.ndarray:
-    """Exact marginal velocity at a (B, H, D) batch of noisy chunks."""
-    tau = _check_tau(tau)
-    x = np.asarray(chunks, dtype=float)
-    if x.ndim != 3 or x.shape[1:] != params.chunk_shape:
-        raise StructuralError(
-            f"batch shape {x.shape} does not match mixture chunk shape {params.chunk_shape}"
-        )
-    resp, coef, diff, _ = _mixture_terms(x, tau, params)
-    v_c = params.means[None, :, :, :] + coef[None, :, None, None] * diff  # (B, K, H, D)
-    return np.sum(resp[:, :, None, None] * v_c, axis=1)
-
-
 def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
     """Exact marginal velocity E[x1 - eps | x_tau = chunk] for the mixture prior.
 
-    For a single component (mu, s) this is
+    ``chunk`` is one (H, D) chunk or a (B, H, D) batch; the result has its
+    shape.  For a single component (mu, s) this is
     mu + ((tau s^2 - (1-tau)) / (tau^2 s^2 + (1-tau)^2)) * (chunk - tau mu);
     mixture components are blended by posterior responsibilities.
 
     Raises DomainError at tau = 1, where the path endpoint degenerates.
     """
-    x = as_chunk(chunk)
-    return gm_velocity_batch(x[None, :, :], tau, params)[0]
+    tau = _check_tau(tau)
+    x = np.asarray(chunk, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-2:] != params.chunk_shape:
+        raise StructuralError(
+            f"chunk shape {x.shape} must be (H, D) or (B, H, D) with (H, D) = {params.chunk_shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise NumericError("chunk contains non-finite entries")
+    batch = x if x.ndim == 3 else x[None, :, :]
+    resp, coef, diff, _ = _mixture_terms(batch, tau, params)
+    v_c = params.means[None, :, :, :] + coef[None, :, None, None] * diff  # (B, K, H, D)
+    v = np.sum(resp[:, :, None, None] * v_c, axis=1)
+    return v if x.ndim == 3 else v[0]
 
 
 def gm_velocity_vjp(
@@ -232,8 +227,6 @@ class GaussianMixtureField(VelocityField):
     into the mixture parameters.
     """
 
-    has_analytic_jacobian = True
-
     def __init__(self, params: GaussianMixtureFieldParams):
         self.params = params
 
@@ -244,27 +237,6 @@ class GaussianMixtureField(VelocityField):
         self, chunk: np.ndarray, tau: float, observation: Any, cotangent: np.ndarray
     ) -> np.ndarray:
         return gm_velocity_vjp(chunk, tau, self.params, cotangent)
-
-
-def euler_step(state: FlowState, velocity: np.ndarray, n: int) -> FlowState:
-    """One forward Euler step: chunk + velocity / n, with tau advanced to (k+1)/n.
-
-    tau is recomputed as (step_index + 1) / n rather than accumulated, so
-    solver states satisfy tau == step_index / n exactly.
-    """
-    if n < 1:
-        raise StructuralError(f"step count n must be >= 1, got {n}")
-    if state.step_index >= n:
-        raise StructuralError(
-            f"solver already at step {state.step_index} of {n}; cannot step past tau = 1"
-        )
-    v = np.asarray(velocity, dtype=float)
-    if v.shape != state.chunk.shape:
-        raise StructuralError(f"velocity shape {v.shape} != chunk shape {state.chunk.shape}")
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"non-finite velocity at solver step {state.step_index}")
-    k = state.step_index + 1
-    return FlowState(chunk=state.chunk + v / n, tau=k / n, step_index=k)
 
 
 def one_step_estimate(chunk: np.ndarray, velocity: np.ndarray, tau: float) -> np.ndarray:
@@ -283,58 +255,20 @@ def estimate_vjp(
     tau: float,
     observation: Any,
     cotangent: np.ndarray,
-    fd_step: float = FD_STEP,
 ) -> np.ndarray:
     """Pull a cotangent back through the one-step clean estimate.
 
-    Returns u^T (I + (1 - tau) dv/dx), using the field's analytic Jacobian
-    when available and central finite differences with step ``fd_step``
-    otherwise.
+    Returns u^T (I + (1 - tau) dv/dx), taking u^T dv/dx from the field's
+    ``velocity_vjp``.
     """
     tau = _check_tau(tau)
     x = as_chunk(chunk)
     u = np.asarray(cotangent, dtype=float)
     if u.shape != x.shape:
         raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-    if field.has_analytic_jacobian:
-        inner = field.velocity_vjp(x, tau, observation, u)
-    else:
-        inner = np.empty_like(x)
-        flat = inner.reshape(-1)
-        for j in range(x.size):
-            probe = x.copy().reshape(-1)
-            probe[j] += fd_step
-            v_plus = field.evaluate(probe.reshape(x.shape), tau, observation)
-            probe[j] -= 2.0 * fd_step
-            v_minus = field.evaluate(probe.reshape(x.shape), tau, observation)
-            flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * fd_step)
+    inner = field.velocity_vjp(x, tau, observation, u)
     out = u + (1.0 - tau) * inner
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
     return out
-
-
-def sample_unguided(
-    field: VelocityField, noise: np.ndarray, n: int, observation: Any = None
-) -> np.ndarray:
-    """Integrate the field from pure noise to tau = 1 with an n-step Euler solver."""
-    state = FlowState(chunk=as_chunk(noise, "noise").copy(), tau=0.0, step_index=0)
-    for k in range(n):
-        velocity = field.evaluate(state.chunk, k / n, observation)
-        state = euler_step(state, velocity, n)
-    return state.chunk
-
-
-def sample_unguided_batch(
-    params: GaussianMixtureFieldParams, noise: np.ndarray, n: int
-) -> np.ndarray:
-    """Vectorized unguided sampling for a mixture prior; noise is (B, H, D)."""
-    x = np.asarray(noise, dtype=float)
-    if x.ndim != 3:
-        raise StructuralError(f"noise batch must be (B, H, D), got {x.shape}")
-    x = x.copy()
-    for k in range(n):
-        x += gm_velocity_batch(x, k / n, params) / n
-    return x
-

@@ -36,7 +36,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, StructuralError
-from .flow import FlowState, VelocityField, as_chunk, estimate_vjp, euler_step, one_step_estimate
+from .flow import VelocityField, as_chunk, estimate_vjp, one_step_estimate
 
 __all__ = [
     "GuidanceMethod",
@@ -234,26 +234,26 @@ def guided_denoise(
     is NAIVE (or k = 0 with guide_first_step unset, where the weight is
     undefined), compute the pseudoinverse correction g, weight it by the
     method's schedule, trust-region-project it for POTR, and take the Euler
-    step with v + g_final.  NAIVE shares the identical loop with guidance
-    short-circuited, so baselines are bit-comparable.
+    step x + (v + g_final) / n.  NAIVE shares the identical loop with guidance
+    short-circuited, so baselines are bit-comparable.  A step velocity of the
+    wrong shape raises StructuralError and a non-finite one NumericError,
+    naming the solver step.
     """
     if inpaint is None and config.method is not GuidanceMethod.NAIVE:
         raise StructuralError(f"method {config.method.value} requires an inpainting target")
-    if inpaint is not None and inpaint.target.shape != np.asarray(noise).shape:
+    x = as_chunk(noise, "noise")
+    if inpaint is not None and inpaint.target.shape != x.shape:
         raise StructuralError(
-            f"inpaint target shape {inpaint.target.shape} != noise shape {np.asarray(noise).shape}"
+            f"inpaint target shape {inpaint.target.shape} != noise shape {x.shape}"
         )
     n = config.n_steps
-    state = FlowState(chunk=as_chunk(noise, "noise").copy(), tau=0.0, step_index=0)
     for k in range(n):
         tau = k / n
-        velocity = field.evaluate(state.chunk, tau, observation)
-        guided = config.method is not GuidanceMethod.NAIVE and (k > 0 or config.guide_first_step)
-        if guided:
+        velocity = field.evaluate(x, tau, observation)
+        step_velocity = velocity
+        if config.method is not GuidanceMethod.NAIVE and (k > 0 or config.guide_first_step):
             try:
-                g = pseudoinverse_correction(
-                    state.chunk, tau, velocity, inpaint, field, observation
-                )
+                g = pseudoinverse_correction(x, tau, velocity, inpaint, field, observation)
                 if k == 0:
                     w = config.beta  # clipped value; the schedule diverges at tau = 0
                 elif config.method is GuidanceMethod.RTC:
@@ -266,7 +266,12 @@ def guided_denoise(
             except (StructuralError, DomainError, NumericError) as err:
                 raise type(err)(f"denoising step {k}: {err}") from err
             step_velocity = velocity + g_final
-        else:
-            step_velocity = velocity
-        state = euler_step(state, step_velocity, n)
-    return state.chunk
+        step_velocity = np.asarray(step_velocity, dtype=float)
+        if step_velocity.shape != x.shape:
+            raise StructuralError(
+                f"velocity shape {step_velocity.shape} != chunk shape {x.shape} at solver step {k}"
+            )
+        if not np.all(np.isfinite(step_velocity)):
+            raise NumericError(f"non-finite velocity at solver step {k}")
+        x = x + step_velocity / n
+    return x

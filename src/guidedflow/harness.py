@@ -102,6 +102,8 @@ class ExperimentConfig:
         if len(self.methods) == 0:
             raise ConfigError("at least one method is required")
         self.delays = tuple(int(d) for d in self.delays)
+        if len(self.delays) == 0:
+            raise ConfigError("at least one delay is required")
         for d in self.delays:
             if not (0 <= d < self.horizon):
                 raise ConfigError(f"delay {d} must satisfy 0 <= d < horizon={self.horizon}")
@@ -117,7 +119,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown variant {name!r}; choose from {sorted(_VARIANT_REGISTRY)}"
                 )
-            if int(weight) < 1:
+            try:
+                weight = int(weight)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"variant {name!r} has non-integer weight {weight!r}") from err
+            if weight < 1:
                 raise ConfigError("variant weights must be >= 1")
         self.variants = tuple((str(n), int(w)) for n, w in self.variants)
         # Fail here, before any output exists, rather than in the first episode.
@@ -199,7 +205,6 @@ def run_cell_episode(
     variant_index: int,
     episode: int,
     replan_every: Optional[int] = None,
-    record_requests: bool = False,
 ):
     """Run one episode of one cell; returns (ResultRow, EpisodeTrace)."""
     env_rng, noise_rng = _episode_seeds(config, delay, variant_index, episode)
@@ -228,7 +233,6 @@ def run_cell_episode(
         replan_every=replan_every,
         mask_decay=config.mask_decay,
         rng=noise_rng,
-        record_requests=record_requests,
     )
     trace = executor.run()
     m = episode_metrics(trace)
@@ -536,7 +540,11 @@ def _parse_variants(text: str) -> tuple[tuple[str, int], ...]:
             continue
         if ":" in tok:
             name, weight = tok.split(":", 1)
-            out.append((name.strip(), int(weight)))
+            try:
+                weight = int(weight)
+            except ValueError as err:
+                raise ConfigError(f"cannot parse variant weight from {tok!r}") from err
+            out.append((name.strip(), weight))
         else:
             out.append((tok, 1))
     return tuple(out)

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import (
-    FlowState,
     GaussianMixtureField,
     GaussianMixtureFieldParams,
+    VelocityField,
     estimate_vjp,
-    euler_step,
     gm_velocity,
 )
-from .guidance import otr_project, pc_weight, r_tau_sq, rtc_weight
+from .guidance import GuidanceConfig, guided_denoise, otr_project, pc_weight, r_tau_sq, rtc_weight
 from .harness import ExperimentConfig, run_cell_episode
 from .metrics import aggregate_weighted, worst_case
 
@@ -134,7 +133,7 @@ def check_otr_properties(seed: int = 20240, trials: int = 1000) -> CheckResult:
 class _NumericOnly(GaussianMixtureField):
     """Same field with the analytic Jacobian hidden, forcing finite differences."""
 
-    has_analytic_jacobian = False
+    velocity_vjp = VelocityField.velocity_vjp
 
 
 def _random_mixture(rng: np.random.Generator) -> GaussianMixtureFieldParams:
@@ -198,11 +197,11 @@ def check_euler_convergence() -> CheckResult:
     )
     errors = []
     steps = [10, 20, 40, 80]
+    field = GaussianMixtureField(params)
     for n in steps:
-        state = FlowState(chunk=x0.copy(), tau=0.0, step_index=0)
-        for k in range(n):
-            state = euler_step(state, gm_velocity(state.chunk, k / n, params), n)
-        errors.append(float(np.linalg.norm(state.chunk - exact)))
+        naive = GuidanceConfig(method="naive", n_steps=n, beta=n)
+        x1 = guided_denoise(x0, None, field, None, naive)
+        errors.append(float(np.linalg.norm(x1 - exact)))
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     ok = -1.3 <= slope <= -0.7
     return CheckResult("euler-convergence", ok, f"log-log slope {slope:.3f} over n={steps}")

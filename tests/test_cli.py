@@ -61,7 +61,10 @@ def test_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1"],
+    [
+        "sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1",
+        "variants = unimodal:x", "delays =",
+    ],
 )
 def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):
     cfg = write_config(tmp_path, extra=line + "\n")

@@ -12,6 +12,7 @@ from guidedflow.envs import (
     make_env,
     make_field,
 )
+from guidedflow.errors import StructuralError
 from guidedflow.guidance import GuidanceConfig
 
 
@@ -190,9 +191,23 @@ def test_make_env_with_obstacle():
 
 
 def test_oracle_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError):
         OraclePolicyParams(modes=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError):
         OraclePolicyParams(sigma_cond=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError):
         OraclePolicyParams(ctrl_frac=1.5)
+
+
+def test_env_and_field_shape_errors():
+    with pytest.raises(StructuralError):
+        PointMassEnv(start=np.zeros(2), goal=np.zeros(3))
+    obs = Observation(position=np.zeros(2), goal=np.ones(2))
+    params = OraclePolicyParams(modes=2, chunk_mean_fn=lambda o: np.zeros((1, 10, 2)))
+    with pytest.raises(StructuralError, match="chunk_mean_fn"):
+        conditional_field(obs, params)
+    # the two skirting modes are planned in the plane; other D must bring its own plans
+    obstacle = Obstacle(center=np.full(3, 0.5), radius=0.1)
+    obs3 = Observation(position=np.zeros(3), goal=np.ones(3), obstacle=obstacle)
+    with pytest.raises(StructuralError, match="D = 3"):
+        conditional_field(obs3, OraclePolicyParams(modes=2))

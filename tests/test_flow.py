@@ -3,20 +3,16 @@ import pytest
 
 from guidedflow.errors import DomainError, NumericError, StructuralError
 from guidedflow.flow import (
-    FlowState,
     GaussianMixtureField,
     GaussianMixtureFieldParams,
     VelocityField,
     as_chunk,
     estimate_vjp,
-    euler_step,
     gm_velocity,
-    gm_velocity_batch,
     gm_velocity_vjp,
     one_step_estimate,
-    sample_unguided,
-    sample_unguided_batch,
 )
+from guidedflow.guidance import GuidanceConfig, guided_denoise
 
 
 def single_gaussian(mu, scale):
@@ -33,8 +29,6 @@ def scalar_mixture(means, scales, weights):
 
 class ConstantField(VelocityField):
     """Velocity independent of the chunk; Jacobian is exactly zero."""
-
-    has_analytic_jacobian = True
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
@@ -64,50 +58,58 @@ def mc_velocity_scalar(params, tau, x, n_samples, rng, delta):
 
 
 # ---------------------------------------------------------------------------
-# euler_step
+# the Euler step of guided_denoise: x + v / n at tau = k / n
+
+
+class RecordingField(VelocityField):
+    """Returns fixed step velocities (by step index) and records every tau."""
+
+    def __init__(self, velocities):
+        self.velocities = velocities
+        self.taus = []
+
+    def evaluate(self, chunk, tau, observation=None):
+        self.taus.append(tau)
+        return self.velocities[len(self.taus) - 1]
+
+
+def naive(n):
+    return GuidanceConfig(method="naive", n_steps=n, beta=n)
 
 
 def test_euler_step_zero_velocity_only_advances_time():
     chunk = np.arange(6.0).reshape(3, 2)
-    state = FlowState(chunk=chunk, tau=0.0, step_index=0)
-    out = euler_step(state, np.zeros((3, 2)), 4)
-    assert np.array_equal(out.chunk, chunk)
-    assert out.tau == 0.25 and out.step_index == 1
+    field = RecordingField([np.zeros((3, 2))] * 4)
+    assert np.array_equal(guided_denoise(chunk, None, field, None, naive(4)), chunk)
+    assert field.taus == [0.0, 0.25, 0.5, 0.75]
 
 
 def test_euler_step_single_full_step():
-    state = FlowState(chunk=np.zeros((2, 2)), tau=0.0, step_index=0)
-    out = euler_step(state, np.ones((2, 2)), 1)
-    assert np.array_equal(out.chunk, np.ones((2, 2)))
-    assert out.tau == 1.0 and out.step_index == 1
+    field = RecordingField([np.ones((2, 2))])
+    out = guided_denoise(np.zeros((2, 2)), None, field, None, naive(1))
+    assert np.array_equal(out, np.ones((2, 2)))
+    assert field.taus == [0.0]
 
 
 def test_euler_step_tau_is_exact_grid_fraction():
-    state = FlowState(chunk=np.zeros((1, 1)), tau=0.0, step_index=0)
     n = 7
-    for k in range(n):
-        state = euler_step(state, np.zeros((1, 1)), n)
-        assert state.tau == state.step_index / n  # bit-exact, not accumulated
+    field = RecordingField([np.zeros((1, 1))] * n)
+    guided_denoise(np.zeros((1, 1)), None, field, None, naive(n))
+    assert field.taus == [k / n for k in range(n)]  # bit-exact, not accumulated
 
 
 def test_euler_step_shape_mismatch():
-    state = FlowState(chunk=np.zeros((2, 2)), tau=0.0, step_index=0)
-    with pytest.raises(StructuralError):
-        euler_step(state, np.zeros((3, 2)), 4)
+    field = RecordingField([np.zeros((3, 2))] * 4)
+    with pytest.raises(StructuralError, match="step 0"):
+        guided_denoise(np.zeros((2, 2)), None, field, None, naive(4))
 
 
 def test_euler_step_nonfinite_velocity_names_step():
-    state = FlowState(chunk=np.zeros((2, 2)), tau=0.5, step_index=2)
     bad = np.zeros((2, 2))
     bad[1, 0] = np.inf
+    field = RecordingField([np.zeros((2, 2))] * 2 + [bad] * 2)
     with pytest.raises(NumericError, match="step 2"):
-        euler_step(state, bad, 4)
-
-
-def test_euler_step_rejects_stepping_past_end():
-    state = FlowState(chunk=np.zeros((1, 1)), tau=1.0, step_index=4)
-    with pytest.raises(StructuralError):
-        euler_step(state, np.zeros((1, 1)), 4)
+        guided_denoise(np.zeros((2, 2)), None, field, None, naive(4))
 
 
 def test_euler_convergence_to_exact_flow_endpoint():
@@ -131,11 +133,9 @@ def test_euler_convergence_to_exact_flow_endpoint():
 
     errors = []
     steps = [10, 20, 40, 80]
+    field = GaussianMixtureField(params)
     for n in steps:
-        state = FlowState(chunk=x0.copy(), tau=0.0, step_index=0)
-        for k in range(n):
-            state = euler_step(state, gm_velocity(state.chunk, k / n, params), n)
-        errors.append(np.linalg.norm(state.chunk - exact))
+        errors.append(np.linalg.norm(guided_denoise(x0, None, field, None, naive(n)) - exact))
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
     assert -1.3 <= slope <= -0.7
 
@@ -205,7 +205,8 @@ def test_gm_velocity_batch_matches_single():
     rng = np.random.default_rng(5)
     params = scalar_mixture([-0.5, 0.8], [0.4, 0.9], [0.3, 0.7])
     batch = rng.standard_normal((6, 1, 1))
-    vb = gm_velocity_batch(batch, 0.4, params)
+    vb = gm_velocity(batch, 0.4, params)
+    assert vb.shape == batch.shape
     for i in range(6):
         assert np.allclose(vb[i], gm_velocity(batch[i], 0.4, params), atol=1e-14)
 
@@ -217,21 +218,13 @@ def test_sampler_moments_match_prior():
     mu = np.array([[0.3, -0.4], [0.1, 0.6]])
     for s in (0.2, 0.4, 1.0):
         params = single_gaussian(mu, s)
-        noise = rng.standard_normal((10_000, 2, 2))
-        samples = sample_unguided_batch(params, noise, 64)
+        samples = rng.standard_normal((10_000, 2, 2))
+        for k in range(64):
+            samples = samples + gm_velocity(samples, k / 64, params) / 64
         err_mean = np.abs(samples.mean(axis=0) - mu)
         assert err_mean.max() < 0.05
         stds = samples.std(axis=0)
         assert np.all(np.abs(stds - s) / s < 0.10)
-
-
-def test_sample_unguided_matches_batch_path():
-    params = single_gaussian(np.array([[0.5, -0.5]]), 0.4)
-    field = GaussianMixtureField(params)
-    noise = np.random.default_rng(2).standard_normal((1, 2))
-    a = sample_unguided(field, noise, 16)
-    b = sample_unguided_batch(params, noise[None], 16)[0]
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +281,7 @@ def test_estimate_vjp_scalar_closed_form():
     assert np.allclose(got, expected, rtol=1e-12)
 
     class Hidden(GaussianMixtureField):
-        has_analytic_jacobian = False
+        velocity_vjp = VelocityField.velocity_vjp
 
     fd = estimate_vjp(Hidden(params), np.array([[0.5]]), tau, None, u)
     assert np.allclose(got, fd, rtol=1e-6)
@@ -298,7 +291,7 @@ def test_estimate_vjp_matches_finite_differences_random_mixtures():
     rng = np.random.default_rng(21)
 
     class Hidden(GaussianMixtureField):
-        has_analytic_jacobian = False
+        velocity_vjp = VelocityField.velocity_vjp
 
     for _ in range(25):
         k, h, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 3)
@@ -328,8 +321,6 @@ def test_estimate_vjp_linear_in_cotangent():
 
 def test_estimate_vjp_nonfinite_names_coordinate():
     class BadField(VelocityField):
-        has_analytic_jacobian = True
-
         def evaluate(self, chunk, tau, observation=None):
             return np.zeros_like(chunk)
 

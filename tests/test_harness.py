@@ -298,6 +298,10 @@ def test_config_validation_errors():
         ExperimentConfig(variants=(("nope", 1),), output_dir="x")
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=(("unimodal", 0),), output_dir="x")
+    with pytest.raises(ConfigError, match="non-integer weight"):
+        ExperimentConfig(variants=(("unimodal", "x"),), output_dir="x")
+    with pytest.raises(ConfigError, match="at least one delay"):
+        ExperimentConfig(delays=(), output_dir="x")
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=(), output_dir="x")
     with pytest.raises(ConfigError, match="beta"):
