@@ -33,6 +33,7 @@ from .flow import (
     GaussianMixtureFieldParams,
     VelocityField,
     estimate_vjp,
+    gm_linearize,
     gm_velocity,
     gm_velocity_vjp,
     one_step_estimate,

@@ -16,13 +16,20 @@ the same homotopy class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import StructuralError
-from .flow import GaussianMixtureFieldParams, VelocityField, gm_velocity, gm_velocity_vjp
+from .flow import (
+    GaussianMixtureFieldParams,
+    VelocityField,
+    gm_linearize,
+    gm_velocity,
+    gm_velocity_vjp,
+)
 
 __all__ = [
     "Obstacle",
@@ -134,10 +141,12 @@ class OraclePolicyParams:
     def __post_init__(self) -> None:
         if self.modes < 1:
             raise StructuralError("modes must be >= 1")
-        if self.sigma_cond <= 0.0 or self.gain <= 0.0:
-            raise StructuralError("sigma_cond and gain must be positive")
+        if not (0.0 < self.sigma_cond < math.inf and 0.0 < self.gain < math.inf):
+            raise StructuralError("sigma_cond and gain must be positive and finite")
         if not (0.0 < self.ctrl_frac <= 1.0):
             raise StructuralError("ctrl_frac must lie in (0, 1]")
+        if not math.isfinite(self.clearance):
+            raise StructuralError("clearance must be finite")
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -145,35 +154,40 @@ def _perp(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _controller_plan(obs: Observation, params: OraclePolicyParams, side: float) -> np.ndarray:
-    """Roll a saturating proportional controller forward for one mode.
+def _controller_plans(obs: Observation, params: OraclePolicyParams, sides) -> np.ndarray:
+    """Roll a saturating proportional controller forward for all modes at once.
 
-    side = 0 heads straight for the goal.  side = +-1 steers toward a goal
-    lane shifted laterally by (radius + clearance) until the rollout crosses
-    the plane through the obstacle center, then toward the true goal.  The
-    lane target keeps the rollout moving (a via point on the plane itself
-    would be a stalling attractor for a proportional controller).
+    Returns (modes, H, D) plans, one per entry of ``sides``; the modes are
+    rolled together as one (modes, D) state.  side = 0 heads straight for the
+    goal.  side = +-1 steers toward a goal lane shifted laterally by
+    (radius + clearance) until the rollout crosses the plane through the
+    obstacle center, then toward the true goal.  The lane target keeps the
+    rollout moving (a via point on the plane itself would be a stalling
+    attractor for a proportional controller).
     """
     horizon, gain = params.horizon, params.gain
-    x = obs.position.copy()
-    rows = np.zeros((horizon, x.shape[0]))
+    sides = np.asarray(sides, dtype=float)
+    x = np.tile(obs.position, (sides.size, 1))  # (modes, D)
     lane = None
-    axis = None
-    if side != 0.0 and obs.obstacle is not None:
+    if obs.obstacle is not None and np.any(sides != 0.0):
         axis = obs.goal - obs.obstacle.center
         norm = np.linalg.norm(axis)
         if norm > 1e-12:
             axis = axis / norm
-            offset = side * (obs.obstacle.radius + params.clearance) * _perp(axis)
+            offset = sides[:, None] * (obs.obstacle.radius + params.clearance) * _perp(axis)
             lane = obs.goal + offset
+    plans = np.empty((sides.size, horizon, x.shape[1]))
     for i in range(horizon):
         target = obs.goal
-        if lane is not None and np.dot(x - obs.obstacle.center, axis) < 0.0:
-            target = lane
-        a = np.clip(params.ctrl_frac * (target - x) / gain, -1.0, 1.0)
-        rows[i] = a
+        if lane is not None:
+            # One np.dot per mode: the sign test of a single-mode rollout, bit
+            # for bit (a batched product may round differently near the plane).
+            behind = np.array([np.dot(row, axis) < 0.0 for row in x - obs.obstacle.center])
+            target = np.where(behind[:, None], lane, obs.goal)
+        a = np.minimum(np.maximum(params.ctrl_frac * (target - x) / gain, -1.0), 1.0)
+        plans[:, i] = a
         x = x + gain * a
-    return rows
+    return plans
 
 
 def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianMixtureFieldParams:
@@ -187,17 +201,15 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
         means = np.asarray(params.chunk_mean_fn(obs), dtype=float)
         if means.ndim != 3 or means.shape[0] != params.modes:
             raise StructuralError(f"chunk_mean_fn must return (modes, H, D), got {means.shape}")
-    elif params.modes == 1 or obs.obstacle is None:
-        plan = _controller_plan(obs, params, side=0.0)
-        means = np.repeat(plan[None, :, :], params.modes, axis=0)
-    else:
-        if params.modes == 2 and obs.position.shape != (2,):
+    elif params.modes == 2 and obs.obstacle is not None:
+        if obs.position.shape != (2,):
             raise StructuralError(
                 f"obstacle-skirting modes are planned in 2-D, got D = {obs.position.shape[0]}; "
                 "supply chunk_mean_fn for other dimensions"
             )
-        sides = [1.0, -1.0] if params.modes == 2 else [0.0] * params.modes
-        means = np.stack([_controller_plan(obs, params, side) for side in sides])
+        means = _controller_plans(obs, params, [1.0, -1.0])
+    else:
+        means = _controller_plans(obs, params, np.zeros(params.modes))
     k = means.shape[0]
     return GaussianMixtureFieldParams(
         weights=np.full(k, 1.0 / k),
@@ -230,6 +242,9 @@ class ConditionalGMField(VelocityField):
 
     def velocity_vjp(self, chunk, tau, observation, cotangent):
         return gm_velocity_vjp(chunk, tau, self.field_params(observation), cotangent)
+
+    def linearize(self, chunk, tau, observation=None):
+        return gm_linearize(chunk, tau, self.field_params(observation))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,7 +40,9 @@ __all__ = [
     "as_chunk",
     "gm_velocity",
     "gm_velocity_vjp",
+    "gm_linearize",
     "one_step_estimate",
+    "pullback_through_estimate",
     "estimate_vjp",
 ]
 
@@ -64,7 +66,9 @@ class VelocityField(abc.ABC):
 
     ``evaluate`` must return finite values for tau in [0, 1) and finite input.
     ``velocity_vjp`` defaults to central finite differences over
-    ``evaluate``; fields with an analytic Jacobian override it.
+    ``evaluate``, and ``linearize`` to ``evaluate`` plus ``velocity_vjp``;
+    fields with an analytic Jacobian override ``linearize`` (or
+    ``velocity_vjp``) to share one evaluation between the two.
     """
 
     @abc.abstractmethod
@@ -92,6 +96,13 @@ class VelocityField(abc.ABC):
             flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * FD_STEP)
         return out
 
+    def linearize(
+        self, chunk: np.ndarray, tau: float, observation: Any = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The velocity at ``chunk`` and its pullback u -> u^T (dv/dx) there."""
+        velocity = self.evaluate(chunk, tau, observation)
+        return velocity, lambda u: self.velocity_vjp(chunk, tau, observation, u)
+
 
 @dataclass
 class GaussianMixtureFieldParams:
@@ -117,10 +128,13 @@ class GaussianMixtureFieldParams:
             )
         if self.scales.shape != self.weights.shape:
             raise StructuralError("scales and weights must have matching length")
-        if np.any(self.scales <= 0.0):
-            raise StructuralError("component scales must be positive")
-        if np.any(self.weights <= 0.0) or abs(float(self.weights.sum()) - 1.0) > 1e-12:
+        # Written so that NaN fails every test: the solver trusts these values.
+        if not np.all((self.scales > 0.0) & (self.scales < np.inf)):
+            raise StructuralError("component scales must be positive and finite")
+        if not (np.all(self.weights > 0.0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise StructuralError("component weights must be positive and sum to 1")
+        if not np.all(np.isfinite(self.means)):
+            raise StructuralError("component means must be finite")
 
     @property
     def n_components(self) -> int:
@@ -160,6 +174,27 @@ def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams
     return resp, coef, diff, m2
 
 
+def _check_points(
+    chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams, *, batch_ok: bool
+) -> tuple[float, np.ndarray]:
+    tau = _check_tau(tau)
+    x = np.asarray(chunk, dtype=float)
+    if x.ndim not in ((2, 3) if batch_ok else (2,)) or x.shape[-2:] != params.chunk_shape:
+        expected = "(H, D) or (B, H, D)" if batch_ok else "(H, D)"
+        raise StructuralError(
+            f"chunk shape {x.shape} must be {expected} with (H, D) = {params.chunk_shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise NumericError("chunk contains non-finite entries")
+    return tau, x
+
+
+def _velocity_from_terms(resp, coef, diff, params: GaussianMixtureFieldParams):
+    """Component velocities v_c (B, K, H, D) and their blend v (B, H, D)."""
+    v_c = params.means[None, :, :, :] + coef[None, :, None, None] * diff
+    return v_c, np.sum(resp[:, :, None, None] * v_c, axis=1)
+
+
 def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
     """Exact marginal velocity E[x1 - eps | x_tau = chunk] for the mixture prior.
 
@@ -170,19 +205,46 @@ def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParam
 
     Raises DomainError at tau = 1, where the path endpoint degenerates.
     """
-    tau = _check_tau(tau)
-    x = np.asarray(chunk, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-2:] != params.chunk_shape:
-        raise StructuralError(
-            f"chunk shape {x.shape} must be (H, D) or (B, H, D) with (H, D) = {params.chunk_shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NumericError("chunk contains non-finite entries")
+    tau, x = _check_points(chunk, tau, params, batch_ok=True)
     batch = x if x.ndim == 3 else x[None, :, :]
     resp, coef, diff, _ = _mixture_terms(batch, tau, params)
-    v_c = params.means[None, :, :, :] + coef[None, :, None, None] * diff  # (B, K, H, D)
-    v = np.sum(resp[:, :, None, None] * v_c, axis=1)
+    _, v = _velocity_from_terms(resp, coef, diff, params)
     return v if x.ndim == 3 else v[0]
+
+
+def gm_linearize(
+    chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Mixture velocity at one (H, D) chunk and its exact pullback, from one evaluation.
+
+    Returns (v, pullback) where v equals ``gm_velocity(chunk, tau, params)``
+    and pullback(u) = u^T (dv/dx).  Writing r_c for the responsibilities,
+    v_c for component velocities, c_c for the per-component affine slope and
+    d_c = -(x - tau mu_c) / m_c^2 for the responsibility log-gradients,
+
+        dv/dx = (sum_c r_c c_c) I + sum_c v_c (grad r_c)^T,
+        grad r_c = r_c (d_c - sum_k r_k d_k),
+
+    so the pullback of u is (sum_c r_c c_c) u + sum_c r_c <u, v_c> (d_c - dbar).
+    """
+    tau, x = _check_points(chunk, tau, params, batch_ok=False)
+    resp, coef, diff, m2 = _mixture_terms(x[None, :, :], tau, params)
+    v_c, v = _velocity_from_terms(resp, coef, diff, params)
+    resp, v_c = resp[0], v_c[0]  # (K,), (K, H, D)
+    d_c = -diff[0] / m2[:, None, None]  # (K, H, D)
+    d_bar = np.sum(resp[:, None, None] * d_c, axis=0)
+    slope = float(np.dot(resp, coef))
+
+    def pullback(cotangent: np.ndarray) -> np.ndarray:
+        u = np.asarray(cotangent, dtype=float)
+        if u.shape != x.shape:
+            raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
+        u_dot_v = np.sum(u[None, :, :] * v_c, axis=(1, 2))  # (K,)
+        out = slope * u
+        out += np.sum((resp * u_dot_v)[:, None, None] * (d_c - d_bar[None, :, :]), axis=0)
+        return out
+
+    return v[0], pullback
 
 
 def gm_velocity_vjp(
@@ -191,32 +253,8 @@ def gm_velocity_vjp(
     params: GaussianMixtureFieldParams,
     cotangent: np.ndarray,
 ) -> np.ndarray:
-    """u^T (dv/dx) of the mixture velocity, exactly.
-
-    Writing r_c for the responsibilities, v_c for component velocities, c_c
-    for the per-component affine slope and d_c = -(x - tau mu_c) / m_c^2 for
-    the responsibility log-gradients,
-
-        dv/dx = (sum_c r_c c_c) I + sum_c v_c (grad r_c)^T,
-        grad r_c = r_c (d_c - sum_k r_k d_k),
-
-    so the pullback of u is (sum_c r_c c_c) u + sum_c r_c <u, v_c> (d_c - dbar).
-    """
-    tau = _check_tau(tau)
-    x = as_chunk(chunk)
-    u = np.asarray(cotangent, dtype=float)
-    if u.shape != x.shape:
-        raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-    resp, coef, diff, m2 = _mixture_terms(x[None, :, :], tau, params)
-    resp = resp[0]  # (K,)
-    diff = diff[0]  # (K, H, D)
-    d_c = -diff / m2[:, None, None]  # (K, H, D)
-    v_c = params.means + coef[:, None, None] * diff  # (K, H, D)
-    d_bar = np.sum(resp[:, None, None] * d_c, axis=0)
-    u_dot_v = np.sum(u[None, :, :] * v_c, axis=(1, 2))  # (K,)
-    out = float(np.dot(resp, coef)) * u
-    out += np.sum((resp * u_dot_v)[:, None, None] * (d_c - d_bar[None, :, :]), axis=0)
-    return out
+    """u^T (dv/dx) of the mixture velocity at one (H, D) chunk, exactly (see ``gm_linearize``)."""
+    return gm_linearize(chunk, tau, params)[1](cotangent)
 
 
 class GaussianMixtureField(VelocityField):
@@ -238,6 +276,9 @@ class GaussianMixtureField(VelocityField):
     ) -> np.ndarray:
         return gm_velocity_vjp(chunk, tau, self.params, cotangent)
 
+    def linearize(self, chunk: np.ndarray, tau: float, observation: Any = None):
+        return gm_linearize(chunk, tau, self.params)
+
 
 def one_step_estimate(chunk: np.ndarray, velocity: np.ndarray, tau: float) -> np.ndarray:
     """One-step clean estimate: chunk + (1 - tau) * velocity."""
@@ -247,6 +288,22 @@ def one_step_estimate(chunk: np.ndarray, velocity: np.ndarray, tau: float) -> np
     if v.shape != x.shape:
         raise StructuralError(f"velocity shape {v.shape} != chunk shape {x.shape}")
     return x + (1.0 - tau) * v
+
+
+def pullback_through_estimate(
+    cotangent: np.ndarray, tau: float, velocity_pullback: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """u^T (I + (1 - tau) dv/dx): u pulled back through the one-step clean estimate.
+
+    ``velocity_pullback`` maps u to u^T dv/dx, as returned by
+    ``VelocityField.linearize``.  A non-finite result raises NumericError
+    naming its first bad coordinate.
+    """
+    out = cotangent + (1.0 - tau) * velocity_pullback(cotangent)
+    if not np.all(np.isfinite(out)):
+        bad = np.argwhere(~np.isfinite(out))[0]
+        raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
+    return out
 
 
 def estimate_vjp(
@@ -266,9 +323,4 @@ def estimate_vjp(
     u = np.asarray(cotangent, dtype=float)
     if u.shape != x.shape:
         raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-    inner = field.velocity_vjp(x, tau, observation, u)
-    out = u + (1.0 - tau) * inner
-    if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
-    return out
+    return pullback_through_estimate(u, tau, lambda w: field.velocity_vjp(x, tau, observation, w))

@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, NumericError, StructuralError
-from .flow import VelocityField, as_chunk, estimate_vjp, one_step_estimate
+from .flow import VelocityField, as_chunk, one_step_estimate, pullback_through_estimate
 
 __all__ = [
     "GuidanceMethod",
@@ -115,7 +115,7 @@ class InpaintTarget:
             raise StructuralError(
                 f"mask shape {self.mask.shape} != (H,) = ({self.target.shape[0]},)"
             )
-        if np.any(self.mask < 0.0) or np.any(self.mask > 1.0):
+        if not np.all((self.mask >= 0.0) & (self.mask <= 1.0)):  # NaN fails too
             raise StructuralError("mask entries must lie in [0, 1]")
 
 
@@ -170,15 +170,18 @@ def pseudoinverse_correction(
     tau: float,
     velocity: np.ndarray,
     inpaint: InpaintTarget,
-    field: VelocityField,
-    observation: Any = None,
+    pullback: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Unweighted correction g: the masked residual (Y - clean estimate) pulled
     back through the one-step clean estimate.
+
+    ``velocity`` and ``pullback`` (u -> u^T dv/dx) come from one
+    ``VelocityField.linearize`` call at ``chunk``:
+    u = W (Y - (x + (1 - tau) v)) and g = u + (1 - tau) pullback(u).
     """
     a1 = one_step_estimate(chunk, velocity, tau)
     cotangent = inpaint.mask[:, None] * (inpaint.target - a1)
-    return estimate_vjp(field, chunk, tau, observation, cotangent)
+    return pullback_through_estimate(cotangent, tau, pullback)
 
 
 def otr_project(
@@ -217,7 +220,8 @@ def otr_project(
     g_par = (float(np.dot(g_flat, v_flat)) / (v_norm * v_norm)) * v_flat
     g_perp = g_flat - g_par
     perp_norm = float(np.linalg.norm(g_perp))
-    scale = min(rho * v_norm / max(perp_norm, epsilon), 1.0)
+    radius = rho * v_norm
+    scale = radius / perp_norm if perp_norm > radius else 1.0
     return (g_par + scale * g_perp).reshape(g.shape)
 
 
@@ -230,14 +234,16 @@ def guided_denoise(
 ) -> np.ndarray:
     """Run the full guided Euler denoising loop and return the clean chunk.
 
-    For k = 0 .. n-1 at tau = k/n: evaluate the velocity; unless the method
-    is NAIVE (or k = 0 with guide_first_step unset, where the weight is
-    undefined), compute the pseudoinverse correction g, weight it by the
-    method's schedule, trust-region-project it for POTR, and take the Euler
-    step x + (v + g_final) / n.  NAIVE shares the identical loop with guidance
-    short-circuited, so baselines are bit-comparable.  A step velocity of the
-    wrong shape raises StructuralError and a non-finite one NumericError,
-    naming the solver step.
+    For k = 0 .. n-1 at tau = k/n: evaluate the velocity and take the Euler
+    step x + v / n.  Unless the method is NAIVE (or k = 0 with
+    guide_first_step unset, where the weight is undefined), the step instead
+    linearizes the field, so the velocity and its pullback come from one
+    evaluation; computes the pseudoinverse correction g, weights it by the
+    method's schedule and trust-region-projects it for POTR; and steps with
+    x + (v + g_final) / n.  NAIVE shares the identical loop with guidance
+    short-circuited, so baselines are bit-comparable.  ``noise`` is validated
+    once; a step velocity of the wrong shape raises StructuralError and a
+    non-finite one NumericError, naming the solver step.
     """
     if inpaint is None and config.method is not GuidanceMethod.NAIVE:
         raise StructuralError(f"method {config.method.value} requires an inpainting target")
@@ -249,11 +255,12 @@ def guided_denoise(
     n = config.n_steps
     for k in range(n):
         tau = k / n
-        velocity = field.evaluate(x, tau, observation)
-        step_velocity = velocity
-        if config.method is not GuidanceMethod.NAIVE and (k > 0 or config.guide_first_step):
+        if config.method is GuidanceMethod.NAIVE or (k == 0 and not config.guide_first_step):
+            step_velocity = field.evaluate(x, tau, observation)
+        else:
+            velocity, pullback = field.linearize(x, tau, observation)
             try:
-                g = pseudoinverse_correction(x, tau, velocity, inpaint, field, observation)
+                g = pseudoinverse_correction(x, tau, velocity, inpaint, pullback)
                 if k == 0:
                     w = config.beta  # clipped value; the schedule diverges at tau = 0
                 elif config.method is GuidanceMethod.RTC:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, get_type_hints
 import numpy as np
 
 from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask
-from .envs import TaskVariant, default_variants, make_env, make_field
+from .envs import ConditionalGMField, OraclePolicyParams, TaskVariant, default_variants, make_env
 from .errors import ConfigError, StructuralError
 from .guidance import GuidanceConfig, GuidanceMethod
 from .metrics import aggregate_weighted, episode_metrics, worst_case
@@ -129,6 +129,7 @@ class ExperimentConfig:
         # Fail here, before any output exists, rather than in the first episode.
         try:
             self.guidance_for(self.methods[0])
+            self.oracle_for(_VARIANT_REGISTRY[self.variants[0][0]])
             build_soft_mask(self.horizon, 0, 1, self.mask_decay)
         except StructuralError as err:
             raise ConfigError(str(err)) from err
@@ -146,6 +147,16 @@ class ExperimentConfig:
             n_steps=self.n_steps,
             epsilon=self.epsilon,
             guide_first_step=self.guide_first_step,
+        )
+
+    def oracle_for(self, variant: TaskVariant) -> OraclePolicyParams:
+        return OraclePolicyParams(
+            sigma_cond=self.sigma_cond,
+            modes=variant.modes,
+            horizon=self.horizon,
+            gain=self.dynamics_gain,
+            ctrl_frac=self.ctrl_frac,
+            clearance=self.clearance,
         )
 
     def variant_objects(self) -> list[tuple[TaskVariant, int]]:
@@ -216,17 +227,9 @@ def run_cell_episode(
         dynamics_gain=config.dynamics_gain,
         action_noise_std=config.action_noise_std,
     )
-    field_ = make_field(
-        variant,
-        horizon=config.horizon,
-        sigma_cond=config.sigma_cond,
-        gain=config.dynamics_gain,
-        ctrl_frac=config.ctrl_frac,
-        clearance=config.clearance,
-    )
     executor = ChunkExecutor(
         env,
-        field_,
+        ConditionalGMField(config.oracle_for(variant)),
         config.guidance_for(method),
         delay=delay,
         horizon=config.horizon,

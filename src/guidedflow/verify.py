@@ -134,6 +134,7 @@ class _NumericOnly(GaussianMixtureField):
     """Same field with the analytic Jacobian hidden, forcing finite differences."""
 
     velocity_vjp = VelocityField.velocity_vjp
+    linearize = VelocityField.linearize
 
 
 def _random_mixture(rng: np.random.Generator) -> GaussianMixtureFieldParams:

@@ -64,6 +64,7 @@ def test_config_error_exit_code(tmp_path):
     [
         "sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1",
         "variants = unimodal:x", "delays =",
+        "sigma_cond = -1", "sigma_cond = nan", "ctrl_frac = 2",
     ],
 )
 def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):

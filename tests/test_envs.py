@@ -13,7 +13,8 @@ from guidedflow.envs import (
     make_field,
 )
 from guidedflow.errors import StructuralError
-from guidedflow.guidance import GuidanceConfig
+from guidedflow.flow import GaussianMixtureFieldParams
+from guidedflow.guidance import GuidanceConfig, InpaintTarget
 
 
 def rollout_positions(mean_chunk, start, gain=0.1):
@@ -197,6 +198,41 @@ def test_oracle_params_validation():
         OraclePolicyParams(sigma_cond=-1.0)
     with pytest.raises(StructuralError):
         OraclePolicyParams(ctrl_frac=1.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def mixture_with(weights=(0.5, 0.5), scales=(0.4, 0.4), mean_entry=0.0):
+    means = np.zeros((2, 3, 2))
+    means[1, 2, 1] = mean_entry
+    return GaussianMixtureFieldParams(weights=np.array(weights), means=means, scales=np.array(scales))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mixture_with(weights=(NAN, 0.5)),
+        lambda: mixture_with(scales=(0.4, NAN)),
+        lambda: mixture_with(scales=(0.4, INF)),
+        lambda: mixture_with(mean_entry=NAN),
+        lambda: mixture_with(mean_entry=INF),
+        lambda: mixture_with(mean_entry=-INF),
+        lambda: InpaintTarget(np.zeros((3, 2)), np.array([1.0, NAN, 0.0])),
+        lambda: OraclePolicyParams(sigma_cond=NAN),
+        lambda: OraclePolicyParams(sigma_cond=INF),
+        lambda: OraclePolicyParams(gain=NAN),
+        lambda: OraclePolicyParams(clearance=NAN),
+    ],
+    ids=[
+        "weight-nan", "scale-nan", "scale-inf", "mean-nan", "mean-inf", "mean-neg-inf",
+        "mask-nan", "sigma_cond-nan", "sigma_cond-inf", "gain-nan", "clearance-nan",
+    ],
+)
+def test_nonfinite_parameters_rejected_at_construction(build):
+    # The solver loop trusts what it is given, so non-finite values must not get in.
+    with pytest.raises(StructuralError):
+        build()
 
 
 def test_env_and_field_shape_errors():

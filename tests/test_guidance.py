@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from guidedflow import flow
+from guidedflow.envs import Observation, Obstacle, default_variants, make_field
 from guidedflow.errors import DomainError, StructuralError
 from guidedflow.flow import (
     GaussianMixtureField,
@@ -131,9 +133,9 @@ def test_correction_zero_mask_gives_zero():
     params = random_mixture(rng)
     field = GaussianMixtureField(params)
     x = rng.standard_normal((3, 2))
-    v = field.evaluate(x, 0.5)
+    v, pullback = field.linearize(x, 0.5)
     spec = InpaintTarget(rng.standard_normal((3, 2)), np.zeros(3))
-    g = pseudoinverse_correction(x, 0.5, v, spec, field)
+    g = pseudoinverse_correction(x, 0.5, v, spec, pullback)
     assert np.array_equal(g, np.zeros((3, 2)))
 
 
@@ -142,10 +144,10 @@ def test_correction_zero_residual_gives_zero():
     params = random_mixture(rng)
     field = GaussianMixtureField(params)
     x = rng.standard_normal((3, 2))
-    v = field.evaluate(x, 0.5)
+    v, pullback = field.linearize(x, 0.5)
     a1 = x + 0.5 * v
     spec = InpaintTarget(a1, np.ones(3))
-    g = pseudoinverse_correction(x, 0.5, v, spec, field)
+    g = pseudoinverse_correction(x, 0.5, v, spec, pullback)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -153,10 +155,10 @@ def test_correction_constant_field_hand_example():
     # H=2, D=1, Jacobian 0, W=(1,0), Y - A1_hat = (0.5, 7) -> g = (0.5, 0)
     field = ConstantField(np.array([0.0]))
     x = np.zeros((2, 1))
-    v = field.evaluate(x, 0.5)
+    v, pullback = field.linearize(x, 0.5)
     a1 = x + 0.5 * v
     target = a1 + np.array([[0.5], [7.0]])
-    g = pseudoinverse_correction(x, 0.5, v, InpaintTarget(target, np.array([1.0, 0.0])), field)
+    g = pseudoinverse_correction(x, 0.5, v, InpaintTarget(target, np.array([1.0, 0.0])), pullback)
     assert np.allclose(g, np.array([[0.5], [0.0]]), atol=1e-15)
 
 
@@ -289,6 +291,30 @@ def test_potr_equals_pc_at_infinite_radius():
     a = guided_denoise(noise, None, field, spec, GuidanceConfig(method="pc", rho=math.inf))
     b = guided_denoise(noise, None, field, spec, GuidanceConfig(method="potr", rho=math.inf))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_steps", [1, 4, 10])
+@pytest.mark.parametrize("method", ["naive", "rtc", "pc", "potr"])
+@pytest.mark.parametrize("guide_first_step", [False, True])
+def test_one_mixture_evaluation_per_solver_step(monkeypatch, method, n_steps, guide_first_step):
+    # A guided step needs the velocity and its VJP at the same point; both
+    # must come from a single evaluation of the mixture terms.
+    calls = []
+    terms = flow._mixture_terms
+    monkeypatch.setattr(flow, "_mixture_terms", lambda *a: calls.append(1) or terms(*a))
+    field = make_field(default_variants()[1])
+    obs = Observation(
+        position=np.array([-1.0, 0.0]),
+        goal=np.array([0.75, 0.0]),
+        obstacle=Obstacle(center=np.array([0.7, 0.0]), radius=0.09),
+    )
+    rng = np.random.default_rng(12)
+    spec = InpaintTarget(rng.standard_normal((10, 2)), np.linspace(1.0, 0.0, 10))
+    config = GuidanceConfig(
+        method=method, n_steps=n_steps, beta=n_steps, guide_first_step=guide_first_step
+    )
+    guided_denoise(rng.standard_normal((10, 2)), obs, field, spec, config)
+    assert len(calls) == n_steps
 
 
 def test_guided_requires_inpaint_target():
