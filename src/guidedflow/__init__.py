@@ -32,10 +32,8 @@ from .flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
     VelocityField,
-    estimate_vjp,
     gm_linearize,
     gm_velocity,
-    gm_velocity_vjp,
     one_step_estimate,
 )
 from .guidance import (

@@ -23,13 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import StructuralError
-from .flow import (
-    GaussianMixtureFieldParams,
-    VelocityField,
-    gm_linearize,
-    gm_velocity,
-    gm_velocity_vjp,
-)
+from .flow import GaussianMixtureField, GaussianMixtureFieldParams
 
 __all__ = [
     "Obstacle",
@@ -218,8 +212,8 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
     )
 
 
-class ConditionalGMField(VelocityField):
-    """Velocity field conditioned on the observation through the oracle prior.
+class ConditionalGMField(GaussianMixtureField):
+    """Mixture velocity field conditioned on the observation through the oracle prior.
 
     Recomputes the mixture parameters when the observation object changes;
     within one denoising run the same frozen Observation is passed at every
@@ -236,15 +230,6 @@ class ConditionalGMField(VelocityField):
             self._cached_params = conditional_field(obs, self.oracle)
             self._cached_obs = obs
         return self._cached_params
-
-    def evaluate(self, chunk, tau, observation=None):
-        return gm_velocity(chunk, tau, self.field_params(observation))
-
-    def velocity_vjp(self, chunk, tau, observation, cotangent):
-        return gm_velocity_vjp(chunk, tau, self.field_params(observation), cotangent)
-
-    def linearize(self, chunk, tau, observation=None):
-        return gm_linearize(chunk, tau, self.field_params(observation))
 
 
 @dataclass
@@ -309,21 +294,6 @@ def make_env(
     )
 
 
-def make_field(
-    variant: TaskVariant,
-    horizon: int = 10,
-    sigma_cond: float = 0.4,
-    gain: float = 0.1,
-    ctrl_frac: float = 0.35,
-    clearance: float = 0.04,
-) -> ConditionalGMField:
-    return ConditionalGMField(
-        OraclePolicyParams(
-            sigma_cond=sigma_cond,
-            modes=variant.modes,
-            horizon=horizon,
-            gain=gain,
-            ctrl_frac=ctrl_frac,
-            clearance=clearance,
-        )
-    )
+def make_field(variant: TaskVariant, **oracle) -> ConditionalGMField:
+    """The variant's conditional field; ``oracle`` holds further OraclePolicyParams fields."""
+    return ConditionalGMField(OraclePolicyParams(modes=variant.modes, **oracle))

@@ -39,11 +39,9 @@ __all__ = [
     "GaussianMixtureField",
     "as_chunk",
     "gm_velocity",
-    "gm_velocity_vjp",
     "gm_linearize",
     "one_step_estimate",
     "pullback_through_estimate",
-    "estimate_vjp",
 ]
 
 # Central-difference step for numerical velocity Jacobians; balances
@@ -64,44 +62,42 @@ def as_chunk(data: Any, name: str = "chunk") -> np.ndarray:
 class VelocityField(abc.ABC):
     """Conditional velocity evaluator v(x, tau, observation).
 
-    ``evaluate`` must return finite values for tau in [0, 1) and finite input.
-    ``velocity_vjp`` defaults to central finite differences over
-    ``evaluate``, and ``linearize`` to ``evaluate`` plus ``velocity_vjp``;
-    fields with an analytic Jacobian override ``linearize`` (or
-    ``velocity_vjp``) to share one evaluation between the two.
+    Subclasses implement ``evaluate``, which must return finite values for
+    tau in [0, 1) and finite input.  ``linearize`` defaults to ``evaluate``
+    plus a finite-difference pullback; fields with an analytic Jacobian
+    override it to share one evaluation between the two.
     """
 
     @abc.abstractmethod
     def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
         """Velocity at ``chunk`` for denoising time ``tau``; same shape as ``chunk``."""
 
-    def velocity_vjp(
-        self, chunk: np.ndarray, tau: float, observation: Any, cotangent: np.ndarray
-    ) -> np.ndarray:
-        """u^T (dv/dx) for cotangent u, as an array shaped like ``chunk``.
-
-        Central finite differences with step ``FD_STEP``, one pair of
-        ``evaluate`` calls per chunk entry.
-        """
-        x = np.asarray(chunk, dtype=float)
-        u = np.asarray(cotangent, dtype=float)
-        out = np.empty_like(x)
-        flat = out.reshape(-1)
-        for j in range(x.size):
-            probe = x.copy().reshape(-1)
-            probe[j] += FD_STEP
-            v_plus = self.evaluate(probe.reshape(x.shape), tau, observation)
-            probe[j] -= 2.0 * FD_STEP
-            v_minus = self.evaluate(probe.reshape(x.shape), tau, observation)
-            flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * FD_STEP)
-        return out
-
     def linearize(
         self, chunk: np.ndarray, tau: float, observation: Any = None
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The velocity at ``chunk`` and its pullback u -> u^T (dv/dx) there."""
-        velocity = self.evaluate(chunk, tau, observation)
-        return velocity, lambda u: self.velocity_vjp(chunk, tau, observation, u)
+        """The velocity at ``chunk`` and its pullback u -> u^T (dv/dx) there.
+
+        The default pullback takes central finite differences with step
+        ``FD_STEP``, one pair of ``evaluate`` calls per chunk entry.
+        """
+        x = np.asarray(chunk, dtype=float)
+
+        def pullback(cotangent: np.ndarray) -> np.ndarray:
+            u = np.asarray(cotangent, dtype=float)
+            if u.shape != x.shape:
+                raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
+            out = np.empty_like(x)
+            flat = out.reshape(-1)
+            for j in range(x.size):
+                probe = x.copy().reshape(-1)
+                probe[j] += FD_STEP
+                v_plus = self.evaluate(probe.reshape(x.shape), tau, observation)
+                probe[j] -= 2.0 * FD_STEP
+                v_minus = self.evaluate(probe.reshape(x.shape), tau, observation)
+                flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * FD_STEP)
+            return out
+
+        return self.evaluate(chunk, tau, observation), pullback
 
 
 @dataclass
@@ -247,37 +243,26 @@ def gm_linearize(
     return v[0], pullback
 
 
-def gm_velocity_vjp(
-    chunk: np.ndarray,
-    tau: float,
-    params: GaussianMixtureFieldParams,
-    cotangent: np.ndarray,
-) -> np.ndarray:
-    """u^T (dv/dx) of the mixture velocity at one (H, D) chunk, exactly (see ``gm_linearize``)."""
-    return gm_linearize(chunk, tau, params)[1](cotangent)
-
-
 class GaussianMixtureField(VelocityField):
     """Analytic velocity field for an isotropic Gaussian-mixture chunk prior.
 
     Stands in for a learned policy so every downstream quantity has an
-    oracle.  The observation argument is ignored; the conditioning is baked
-    into the mixture parameters.
+    oracle.  ``field_params`` maps the observation to the mixture
+    parameters; here it ignores the observation, because the conditioning is
+    baked into ``params``, and subclasses override it to condition.
     """
 
     def __init__(self, params: GaussianMixtureFieldParams):
         self.params = params
 
-    def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
-        return gm_velocity(chunk, tau, self.params)
+    def field_params(self, observation: Any) -> GaussianMixtureFieldParams:
+        return self.params
 
-    def velocity_vjp(
-        self, chunk: np.ndarray, tau: float, observation: Any, cotangent: np.ndarray
-    ) -> np.ndarray:
-        return gm_velocity_vjp(chunk, tau, self.params, cotangent)
+    def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
+        return gm_velocity(chunk, tau, self.field_params(observation))
 
     def linearize(self, chunk: np.ndarray, tau: float, observation: Any = None):
-        return gm_linearize(chunk, tau, self.params)
+        return gm_linearize(chunk, tau, self.field_params(observation))
 
 
 def one_step_estimate(chunk: np.ndarray, velocity: np.ndarray, tau: float) -> np.ndarray:
@@ -304,23 +289,3 @@ def pullback_through_estimate(
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
     return out
-
-
-def estimate_vjp(
-    field: VelocityField,
-    chunk: np.ndarray,
-    tau: float,
-    observation: Any,
-    cotangent: np.ndarray,
-) -> np.ndarray:
-    """Pull a cotangent back through the one-step clean estimate.
-
-    Returns u^T (I + (1 - tau) dv/dx), taking u^T dv/dx from the field's
-    ``velocity_vjp``.
-    """
-    tau = _check_tau(tau)
-    x = as_chunk(chunk)
-    u = np.asarray(cotangent, dtype=float)
-    if u.shape != x.shape:
-        raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-    return pullback_through_estimate(u, tau, lambda w: field.velocity_vjp(x, tau, observation, w))

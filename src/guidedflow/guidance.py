@@ -198,9 +198,10 @@ def otr_project(
     This is the unique maximizer of <g_hat, g> over the ball
     ||g_hat - g_par|| <= rho ||v||.  Arrays may be any matching shape; the
     projection is global, not per-row.  rho = inf returns g unchanged.  When
-    ||v|| < epsilon the trust region collapses; the whole vector is then
-    scaled by min(rho ||v|| / (||g|| + epsilon), 1) so the result tends to 0
-    continuously with v.  epsilon only guards divisions; it never loosens or
+    ||v|| < epsilon the direction of v is meaningless, so all of g counts as
+    transverse and is clipped into the ball ||g_final|| <= rho ||v||: the
+    result tends to 0 continuously with v and projecting it again leaves it
+    in place.  epsilon only guards the division by ||v||; it never loosens or
     tightens the radius.
     """
     g = np.asarray(guidance, dtype=float)
@@ -214,13 +215,15 @@ def otr_project(
     g_flat = g.reshape(-1)
     v_flat = v.reshape(-1)
     v_norm = float(np.linalg.norm(v_flat))
+    radius = rho * v_norm
     if v_norm < epsilon:
-        scale = min(rho * v_norm / (float(np.linalg.norm(g_flat)) + epsilon), 1.0)
-        return scale * g
+        # math.hypot scales its arguments, so the norm of a tiny g cannot
+        # underflow to 0 and slip past the radius test.
+        g_norm = math.hypot(*g_flat)
+        return (radius / g_norm) * g if g_norm > radius else g.copy()
     g_par = (float(np.dot(g_flat, v_flat)) / (v_norm * v_norm)) * v_flat
     g_perp = g_flat - g_par
     perp_norm = float(np.linalg.norm(g_perp))
-    radius = rho * v_norm
     scale = radius / perp_norm if perp_norm > radius else 1.0
     return (g_par + scale * g_perp).reshape(g.shape)
 

@@ -254,6 +254,17 @@ def run_cell_episode(
     return row, trace
 
 
+def _run_cell(config: ExperimentConfig, method: str, delay: int) -> tuple[list[ResultRow], int]:
+    """Every episode of one (method, delay) cell, over all variants: (rows, overrun count)."""
+    rows, overruns = [], 0
+    for v_index, (variant, _) in enumerate(config.variant_objects()):
+        for episode in range(config.episodes_per_cell):
+            row, trace = run_cell_episode(config, method, delay, variant, v_index, episode)
+            rows.append(row)
+            overruns += int(trace.schedule_overrun)
+    return rows, overruns
+
+
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Run the full delay-sweep protocol and (optionally) persist results."""
     out_dir = Path(config.output_dir)
@@ -267,17 +278,11 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
             raise OSError(f"output directory {out_dir} is not writable: {err}") from err
     rows: list[ResultRow] = []
     overruns = 0
-    variant_objs = config.variant_objects()
     for method in config.methods:
         for delay in config.delays:
-            for v_index, (variant, _) in enumerate(variant_objs):
-                for episode in range(config.episodes_per_cell):
-                    row, trace = run_cell_episode(
-                        config, method, delay, variant, v_index, episode
-                    )
-                    if trace.schedule_overrun:
-                        overruns += 1
-                    rows.append(row)
+            cell_rows, cell_overruns = _run_cell(config, method, delay)
+            rows += cell_rows
+            overruns += cell_overruns
     rows.sort(key=ResultRow.sort_key)
     summary = summarize(rows, dict(config.variants))
     rows_path = summary_path = None
@@ -396,18 +401,6 @@ def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dic
     return summary
 
 
-def _run_grid_cells(
-    config: ExperimentConfig, method: str, delay: int
-) -> list[ResultRow]:
-    rows = []
-    for v_index, (variant, _) in enumerate(config.variant_objects()):
-        for episode in range(config.episodes_per_cell):
-            row, _ = run_cell_episode(config, method, delay, variant, v_index, episode)
-            rows.append(row)
-    rows.sort(key=ResultRow.sort_key)
-    return rows
-
-
 def _grid_search(
     config: ExperimentConfig,
     param: str,
@@ -422,7 +415,7 @@ def _grid_search(
         raise ConfigError(f"{param} grid must be nonempty")
     table = []
     for value in grid:
-        rows = _run_grid_cells(replace(config, **{param: float(value)}), method, delay)
+        rows, _ = _run_cell(replace(config, **{param: float(value)}), method, delay)
         cells = {suite: cell for (_, suite, _), cell in _cells(rows).items()}
         agg = _combine(cells, dict(config.variants))
         # The header names the parameter, then ALL_METRICS in order.

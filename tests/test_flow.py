@@ -7,10 +7,10 @@ from guidedflow.flow import (
     GaussianMixtureFieldParams,
     VelocityField,
     as_chunk,
-    estimate_vjp,
+    gm_linearize,
     gm_velocity,
-    gm_velocity_vjp,
     one_step_estimate,
+    pullback_through_estimate,
 )
 from guidedflow.guidance import GuidanceConfig, guided_denoise
 
@@ -36,8 +36,8 @@ class ConstantField(VelocityField):
     def evaluate(self, chunk, tau, observation=None):
         return np.broadcast_to(self.value, chunk.shape).copy()
 
-    def velocity_vjp(self, chunk, tau, observation, cotangent):
-        return np.zeros_like(np.asarray(cotangent, dtype=float))
+    def linearize(self, chunk, tau, observation=None):
+        return self.evaluate(chunk, tau), lambda u: np.zeros_like(np.asarray(u, dtype=float))
 
 
 def mc_velocity_scalar(params, tau, x, n_samples, rng, delta):
@@ -259,13 +259,13 @@ def test_one_step_estimate_shape_error():
 
 
 # ---------------------------------------------------------------------------
-# estimate_vjp
+# the VJP through the one-step clean estimate
 
 
 def test_estimate_vjp_constant_field_returns_cotangent():
     field = ConstantField(np.array([0.3, -0.1]))
     u = np.random.default_rng(1).standard_normal((3, 2))
-    out = estimate_vjp(field, np.zeros((3, 2)), 0.4, None, u)
+    out = pullback_through_estimate(u, 0.4, field.linearize(np.zeros((3, 2)), 0.4)[1])
     assert np.array_equal(out, u)
 
 
@@ -277,13 +277,13 @@ def test_estimate_vjp_scalar_closed_form():
     u = np.array([[1.7]])
     coef = (tau * s * s - (1 - tau)) / (tau * tau * s * s + (1 - tau) ** 2)
     expected = u * (1 + (1 - tau) * coef)
-    got = estimate_vjp(field, np.array([[0.5]]), tau, None, u)
+    got = pullback_through_estimate(u, tau, field.linearize(np.array([[0.5]]), tau)[1])
     assert np.allclose(got, expected, rtol=1e-12)
 
     class Hidden(GaussianMixtureField):
-        velocity_vjp = VelocityField.velocity_vjp
+        linearize = VelocityField.linearize
 
-    fd = estimate_vjp(Hidden(params), np.array([[0.5]]), tau, None, u)
+    fd = pullback_through_estimate(u, tau, Hidden(params).linearize(np.array([[0.5]]), tau)[1])
     assert np.allclose(got, fd, rtol=1e-6)
 
 
@@ -291,7 +291,7 @@ def test_estimate_vjp_matches_finite_differences_random_mixtures():
     rng = np.random.default_rng(21)
 
     class Hidden(GaussianMixtureField):
-        velocity_vjp = VelocityField.velocity_vjp
+        linearize = VelocityField.linearize
 
     for _ in range(25):
         k, h, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 3)
@@ -303,8 +303,8 @@ def test_estimate_vjp_matches_finite_differences_random_mixtures():
         x = 1.5 * rng.standard_normal((h, d))
         u = rng.standard_normal((h, d))
         tau = rng.uniform(0.05, 0.8)
-        a = estimate_vjp(GaussianMixtureField(params), x, tau, None, u)
-        n = estimate_vjp(Hidden(params), x, tau, None, u)
+        a = pullback_through_estimate(u, tau, GaussianMixtureField(params).linearize(x, tau)[1])
+        n = pullback_through_estimate(u, tau, Hidden(params).linearize(x, tau)[1])
         assert np.linalg.norm(a - n) <= 1e-4 * max(np.linalg.norm(n), 1e-8)
 
 
@@ -314,8 +314,11 @@ def test_estimate_vjp_linear_in_cotangent():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((1, 1))
     u1, u2 = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
-    lhs = estimate_vjp(field, x, 0.6, None, u1 + 2.0 * u2)
-    rhs = estimate_vjp(field, x, 0.6, None, u1) + 2.0 * estimate_vjp(field, x, 0.6, None, u2)
+    _, pullback = field.linearize(x, 0.6)
+    lhs = pullback_through_estimate(u1 + 2.0 * u2, 0.6, pullback)
+    rhs = pullback_through_estimate(u1, 0.6, pullback) + 2.0 * pullback_through_estimate(
+        u2, 0.6, pullback
+    )
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -324,19 +327,27 @@ def test_estimate_vjp_nonfinite_names_coordinate():
         def evaluate(self, chunk, tau, observation=None):
             return np.zeros_like(chunk)
 
-        def velocity_vjp(self, chunk, tau, observation, cotangent):
-            out = np.zeros_like(cotangent)
-            out[0, 1] = np.nan
-            return out
+        def linearize(self, chunk, tau, observation=None):
+            def pullback(cotangent):
+                out = np.zeros_like(cotangent)
+                out[0, 1] = np.nan
+                return out
 
+            return self.evaluate(chunk, tau), pullback
+
+    _, pullback = BadField().linearize(np.zeros((2, 2)), 0.5)
     with pytest.raises(NumericError, match=r"\(0, 1\)"):
-        estimate_vjp(BadField(), np.zeros((2, 2)), 0.5, None, np.ones((2, 2)))
+        pullback_through_estimate(np.ones((2, 2)), 0.5, pullback)
 
 
 def test_gm_velocity_vjp_rejects_bad_cotangent_shape():
     params = single_gaussian(np.zeros((2, 2)), 1.0)
     with pytest.raises(StructuralError):
-        gm_velocity_vjp(np.zeros((2, 2)), 0.5, params, np.zeros((1, 2)))
+        gm_linearize(np.zeros((2, 2)), 0.5, params)[1](np.zeros((1, 2)))
+    # The finite-difference default checks the cotangent the same way.
+    _, pullback = VelocityField.linearize(GaussianMixtureField(params), np.zeros((2, 2)), 0.5)
+    with pytest.raises(StructuralError):
+        pullback(np.zeros((1, 2)))
 
 
 def test_as_chunk_validation():

@@ -41,8 +41,8 @@ class ConstantField(VelocityField):
     def evaluate(self, chunk, tau, observation=None):
         return np.broadcast_to(self.value, chunk.shape).copy()
 
-    def velocity_vjp(self, chunk, tau, observation, cotangent):
-        return np.zeros_like(np.asarray(cotangent, dtype=float))
+    def linearize(self, chunk, tau, observation=None):
+        return self.evaluate(chunk, tau), lambda u: np.zeros_like(np.asarray(u, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,9 @@ def test_denoise_error_carries_step_index():
         def evaluate(self, chunk, tau, observation=None):
             return np.zeros_like(chunk)
 
-        def velocity_vjp(self, chunk, tau, observation, cotangent):
-            if tau >= 0.3:
-                return np.full_like(cotangent, np.nan)
-            return np.zeros_like(cotangent)
+        def linearize(self, chunk, tau, observation=None):
+            fill = np.nan if tau >= 0.3 else 0.0
+            return self.evaluate(chunk, tau), lambda u: np.full_like(u, fill)
 
     spec = InpaintTarget(np.ones((2, 2)), np.ones(2))
     with pytest.raises(Exception, match="step 3"):

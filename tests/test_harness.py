@@ -239,10 +239,10 @@ def test_sigma_grid_schema_and_reduction(tmp_path):
     assert csv_header == ",".join(SIGMA_GRID_HEADER)
     # sigma_d = 1 reduces the prior-corrected weight to the unit-prior one,
     # so the pc grid row equals an rtc sweep on the same seeds.
-    from guidedflow.harness import _run_grid_cells, replace
+    from guidedflow.harness import _run_cell, replace
 
-    rtc_rows = _run_grid_cells(replace(config, sigma_d=1.0), "rtc", 3)
-    pc_rows = _run_grid_cells(replace(config, sigma_d=1.0), "pc", 3)
+    rtc_rows, _ = _run_cell(replace(config, sigma_d=1.0), "rtc", 3)
+    pc_rows, _ = _run_cell(replace(config, sigma_d=1.0), "pc", 3)
     for a, b in zip(rtc_rows, pc_rows):
         assert (a.delay, a.suite, a.seed) == (b.delay, b.suite, b.seed)
         assert a.success == b.success and a.env_steps == b.env_steps
@@ -253,10 +253,10 @@ def test_rho_grid_schema_and_inf_sentinel(tmp_path):
     config = small_config(tmp_path, episodes_per_cell=4, delays=(3,))
     table = grid_search_rho(config, grid=(0.5, math.inf))
     assert [list(r.keys()) for r in table] == [RHO_GRID_HEADER] * 2
-    from guidedflow.harness import _run_grid_cells, replace
+    from guidedflow.harness import _run_cell, replace
 
-    pc_rows = _run_grid_cells(config, "pc", 3)
-    potr_rows = _run_grid_cells(replace(config, rho=math.inf), "potr", 3)
+    pc_rows, _ = _run_cell(config, "pc", 3)
+    potr_rows, _ = _run_cell(replace(config, rho=math.inf), "potr", 3)
     for a, b in zip(pc_rows, potr_rows):
         assert (a.delay, a.suite, a.seed) == (b.delay, b.suite, b.seed)
         assert (a.success, a.env_steps, a.l2_mean, a.l2_max, a.max_acc, a.max_jerk) == (

@@ -1,5 +1,7 @@
 """Property-based tests (Hypothesis) for the invariants the sampler relies on."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ def unit_floats(lo=-1.0, hi=1.0):
 
 
 # ---------------------------------------------------------------------------
-# linearize == (evaluate, velocity_vjp), bit for bit
+# linearize's velocity == evaluate, bit for bit
 
 
 @st.composite
@@ -55,9 +57,8 @@ def mixture_points(draw):
 
 
 class NumericOnly(GaussianMixtureField):
-    """The mixture field with the analytic Jacobian and linearization hidden."""
+    """The mixture field with the analytic linearization hidden."""
 
-    velocity_vjp = VelocityField.velocity_vjp
     linearize = VelocityField.linearize
 
 
@@ -77,8 +78,11 @@ def test_linearize_equals_evaluate_and_vjp(case):
         v, pullback = field.linearize(x, tau, obs)
         assert np.array_equal(v, field.evaluate(x, tau, obs))
         g = pullback(u)
-        assert np.array_equal(g, field.velocity_vjp(x, tau, obs, u))
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+    # The conditional field is the mixture field of its conditioned parameters.
+    v, pullback = conditional.linearize(x, tau, obs)
+    v_gm, pullback_gm = GaussianMixtureField(conditional.field_params(obs)).linearize(x, tau)
+    assert np.array_equal(v, v_gm) and np.array_equal(pullback(u), pullback_gm(u))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,8 @@ def otr_cases(draw):
 @given(otr_cases())
 # rho ||v|| < epsilon <= ||v||: a perpendicular part inside the radius is kept.
 @example((np.array([0.0, 1.0]), np.array([2.5e-8, 2.5e-8]), 0.25))
+# ||v|| < epsilon: g is clipped to norm rho ||v|| = 5e-10 once, not shrunk again.
+@example((np.array([3.0, 4.0]), np.array([1e-9, 0.0]), 0.5))
 def test_otr_constraint_idempotence_and_parallel_part(case):
     g, v, rho = case
     eps = 1e-8
@@ -163,15 +169,16 @@ def test_otr_constraint_idempotence_and_parallel_part(case):
     assert out.shape == g.shape and np.all(np.isfinite(out))
     gf, vf, of = g.reshape(-1), v.reshape(-1), out.reshape(-1)
     v_norm = float(np.linalg.norm(vf))
-    if v_norm < eps:
-        # Degenerate velocity: the whole vector is scaled into the ball.
-        assert np.linalg.norm(of) <= rho * v_norm * (1 + 1e-9) + 1e-300
-        return
-    g_par = (np.dot(gf, vf) / v_norm**2) * vf
     # Roundoff scales, from maxima: squares of tiny entries underflow in a norm.
     g_max = float(np.abs(gf).max(initial=0.0))
-    assert np.linalg.norm(of - g_par) <= rho * v_norm * (1 + 1e-9) + 1e-12 * g_max * gf.size
-    dot_scale = gf.size * g_max * float(np.abs(vf).max())
-    assert abs(np.dot(of, vf) - np.dot(gf, vf)) <= 1e-12 * dot_scale
+    if v_norm < eps:
+        # Degenerate velocity: the whole vector is clipped into the ball.  The
+        # scaled hypot keeps the norm of entries below about 1e-154 from underflowing.
+        assert math.hypot(*of) <= rho * v_norm * (1 + 1e-9) + 1e-300
+    else:
+        g_par = (np.dot(gf, vf) / v_norm**2) * vf
+        assert np.linalg.norm(of - g_par) <= rho * v_norm * (1 + 1e-9) + 1e-12 * g_max * gf.size
+        dot_scale = gf.size * g_max * float(np.abs(vf).max())
+        assert abs(np.dot(of, vf) - np.dot(gf, vf)) <= 1e-12 * dot_scale
     again = otr_project(out, v, rho, eps)
     assert np.allclose(again, out, rtol=1e-12, atol=1e-12 * g_max)
