@@ -174,9 +174,9 @@ def _controller_plans(obs: Observation, params: OraclePolicyParams, sides) -> np
     for i in range(horizon):
         target = obs.goal
         if lane is not None:
-            # One np.dot per mode: the sign test of a single-mode rollout, bit
-            # for bit (a batched product may round differently near the plane).
-            behind = np.array([np.dot(row, axis) < 0.0 for row in x - obs.obstacle.center])
+            # np.vecdot rounds as a per-mode np.dot, so the sign test is the
+            # single-mode rollout's bit for bit; np.sum(row * axis) may not be.
+            behind = np.vecdot(x - obs.obstacle.center, axis) < 0.0
             target = np.where(behind[:, None], lane, obs.goal)
         a = np.minimum(np.maximum(params.ctrl_frac * (target - x) / gain, -1.0), 1.0)
         plans[:, i] = a

@@ -25,6 +25,7 @@ freely.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -54,7 +55,7 @@ def as_chunk(data: Any, name: str = "chunk") -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise StructuralError(f"{name} must be a 2-D (H, D) array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
 
@@ -100,12 +101,14 @@ class VelocityField(abc.ABC):
         return self.evaluate(chunk, tau, observation), pullback
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianMixtureFieldParams:
     """Isotropic Gaussian-mixture prior over clean chunks.
 
     weights: (K,) positive, summing to 1; means: (K, H, D); scales: (K,)
-    per-component isotropic standard deviations.
+    per-component isotropic standard deviations.  Immutable: construction
+    also derives ``log_weights``, ``scales_sq`` and the (K, H*D)
+    ``flat_means`` that the mixture terms read.
     """
 
     weights: np.ndarray
@@ -113,9 +116,10 @@ class GaussianMixtureFieldParams:
     scales: np.ndarray
 
     def __post_init__(self) -> None:
-        self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        self.means = np.asarray(self.means, dtype=float)
-        self.scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
+        set_field = functools.partial(object.__setattr__, self)  # the instance is frozen
+        set_field("weights", np.atleast_1d(np.asarray(self.weights, dtype=float)))
+        set_field("means", np.asarray(self.means, dtype=float))
+        set_field("scales", np.atleast_1d(np.asarray(self.scales, dtype=float)))
         if self.weights.size < 1:
             raise StructuralError("mixture must have at least one component")
         if self.means.ndim != 3 or self.means.shape[0] != self.weights.size:
@@ -125,12 +129,15 @@ class GaussianMixtureFieldParams:
         if self.scales.shape != self.weights.shape:
             raise StructuralError("scales and weights must have matching length")
         # Written so that NaN fails every test: the solver trusts these values.
-        if not np.all((self.scales > 0.0) & (self.scales < np.inf)):
+        if not ((self.scales > 0.0) & (self.scales < np.inf)).all():
             raise StructuralError("component scales must be positive and finite")
-        if not (np.all(self.weights > 0.0) and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
+        if not ((self.weights > 0.0).all() and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise StructuralError("component weights must be positive and sum to 1")
-        if not np.all(np.isfinite(self.means)):
+        if not np.isfinite(self.means).all():
             raise StructuralError("component means must be finite")
+        set_field("log_weights", np.log(self.weights))
+        set_field("scales_sq", self.scales**2)
+        set_field("flat_means", self.means.reshape(self.weights.size, -1))
 
     @property
     def n_components(self) -> int:
@@ -150,24 +157,39 @@ def _check_tau(tau: float, *, allow_one: bool = False) -> float:
     return tau
 
 
-def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams):
-    """Responsibilities and per-component terms at a batch of points.
+@functools.lru_cache(maxsize=128)
+def _tau_constants(tau: float, scales_sq: bytes, log_weights: bytes, n_dim: int):
+    """(log w - n_dim/2 log m2, 2 m2, coef, -m2) with m2 = tau^2 s^2 + (1 - tau)^2.
 
-    x: (B, H, D).  Returns (resp (B, K), coef (K,), diff (B, K, H, D), m2 (K,)).
-    Responsibilities are computed in log space with max-subtraction so that
-    far-apart components do not underflow.
+    These (K,) terms depend only on tau and the prior, and a controller
+    denoises at the same taus with the same prior on every regeneration.
     """
+    s2 = np.frombuffer(scales_sq)
     one_m = 1.0 - tau
-    m2 = tau * tau * params.scales**2 + one_m * one_m  # (K,)
-    diff = x[:, None, :, :] - tau * params.means[None, :, :, :]  # (B, K, H, D)
-    sq = np.sum(diff * diff, axis=(2, 3))  # (B, K)
-    n_dim = x.shape[1] * x.shape[2]
-    logp = np.log(params.weights)[None, :] - 0.5 * n_dim * np.log(m2)[None, :] - sq / (2.0 * m2)[None, :]
-    logp -= logp.max(axis=1, keepdims=True)
+    m2 = tau * tau * s2 + one_m * one_m
+    log_norm = np.frombuffer(log_weights) - 0.5 * n_dim * np.log(m2)
+    out = (log_norm, 2.0 * m2, (tau * s2 - one_m) / m2, -m2)
+    for arr in out:
+        arr.flags.writeable = False  # every cache hit shares these arrays
+    return out
+
+
+def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams):
+    """Responsibilities and per-component terms at a batch of flat points.
+
+    x: (B, N) with N = H*D.  Returns (resp (B, K), coef (K,), diff (B, K, N),
+    -m2 (K,)).  Responsibilities are computed in log space with
+    max-subtraction so that far-apart components do not underflow.
+    """
+    log_norm, two_m2, coef, neg_m2 = _tau_constants(
+        tau, params.scales_sq.tobytes(), params.log_weights.tobytes(), x.shape[1]
+    )
+    diff = x[:, None, :] - tau * params.flat_means  # (B, K, N)
+    logp = log_norm - np.add.reduce(diff * diff, axis=2) / two_m2  # (B, K)
+    logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
     resp = np.exp(logp)
-    resp /= resp.sum(axis=1, keepdims=True)
-    coef = (tau * params.scales**2 - one_m) / m2  # (K,)
-    return resp, coef, diff, m2
+    resp /= np.add.reduce(resp, axis=1, keepdims=True)
+    return resp, coef, diff, neg_m2
 
 
 def _check_points(
@@ -180,15 +202,15 @@ def _check_points(
         raise StructuralError(
             f"chunk shape {x.shape} must be {expected} with (H, D) = {params.chunk_shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("chunk contains non-finite entries")
     return tau, x
 
 
 def _velocity_from_terms(resp, coef, diff, params: GaussianMixtureFieldParams):
-    """Component velocities v_c (B, K, H, D) and their blend v (B, H, D)."""
-    v_c = params.means[None, :, :, :] + coef[None, :, None, None] * diff
-    return v_c, np.sum(resp[:, :, None, None] * v_c, axis=1)
+    """Component velocities v_c (B, K, N) and their blend v (B, N)."""
+    v_c = params.flat_means + coef[:, None] * diff
+    return v_c, np.add.reduce(resp[:, :, None] * v_c, axis=1)
 
 
 def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
@@ -202,10 +224,10 @@ def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParam
     Raises DomainError at tau = 1, where the path endpoint degenerates.
     """
     tau, x = _check_points(chunk, tau, params, batch_ok=True)
-    batch = x if x.ndim == 3 else x[None, :, :]
-    resp, coef, diff, _ = _mixture_terms(batch, tau, params)
+    # One (H, D) chunk is a batch of one flat point.
+    resp, coef, diff, _ = _mixture_terms(x.reshape(-1, params.flat_means.shape[1]), tau, params)
     _, v = _velocity_from_terms(resp, coef, diff, params)
-    return v if x.ndim == 3 else v[0]
+    return v.reshape(x.shape)
 
 
 def gm_linearize(
@@ -224,23 +246,23 @@ def gm_linearize(
     so the pullback of u is (sum_c r_c c_c) u + sum_c r_c <u, v_c> (d_c - dbar).
     """
     tau, x = _check_points(chunk, tau, params, batch_ok=False)
-    resp, coef, diff, m2 = _mixture_terms(x[None, :, :], tau, params)
+    resp, coef, diff, neg_m2 = _mixture_terms(x.reshape(1, -1), tau, params)
     v_c, v = _velocity_from_terms(resp, coef, diff, params)
-    resp, v_c = resp[0], v_c[0]  # (K,), (K, H, D)
-    d_c = -diff[0] / m2[:, None, None]  # (K, H, D)
-    d_bar = np.sum(resp[:, None, None] * d_c, axis=0)
-    slope = float(np.dot(resp, coef))
+    resp, v_c = resp[0], v_c[0]  # (K,), (K, N)
+    d_c = diff[0] / neg_m2[:, None]  # (K, N); x / -y == -x / y exactly
+    d_spread = d_c - np.add.reduce(resp[:, None] * d_c, axis=0)
+    slope = float(resp.dot(coef))
 
     def pullback(cotangent: np.ndarray) -> np.ndarray:
         u = np.asarray(cotangent, dtype=float)
         if u.shape != x.shape:
             raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-        u_dot_v = np.sum(u[None, :, :] * v_c, axis=(1, 2))  # (K,)
-        out = slope * u
-        out += np.sum((resp * u_dot_v)[:, None, None] * (d_c - d_bar[None, :, :]), axis=0)
-        return out
+        u = u.reshape(-1)
+        u_dot_v = np.add.reduce(u * v_c, axis=1)  # (K,)
+        out = slope * u + np.add.reduce((resp * u_dot_v)[:, None] * d_spread, axis=0)
+        return out.reshape(x.shape)
 
-    return v[0], pullback
+    return v[0].reshape(x.shape), pullback
 
 
 class GaussianMixtureField(VelocityField):
@@ -285,7 +307,7 @@ def pullback_through_estimate(
     naming its first bad coordinate.
     """
     out = cotangent + (1.0 - tau) * velocity_pullback(cotangent)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = np.argwhere(~np.isfinite(out))[0]
         raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
     return out

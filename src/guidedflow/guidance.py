@@ -115,7 +115,7 @@ class InpaintTarget:
             raise StructuralError(
                 f"mask shape {self.mask.shape} != (H,) = ({self.target.shape[0]},)"
             )
-        if not np.all((self.mask >= 0.0) & (self.mask <= 1.0)):  # NaN fails too
+        if not ((self.mask >= 0.0) & (self.mask <= 1.0)).all():  # NaN fails too
             raise StructuralError("mask entries must lie in [0, 1]")
 
 
@@ -214,16 +214,17 @@ def otr_project(
         return g.copy()
     g_flat = g.reshape(-1)
     v_flat = v.reshape(-1)
-    v_norm = float(np.linalg.norm(v_flat))
+    # sqrt(<v, v>) is what np.linalg.norm computes for a 1-D real array.
+    v_norm = math.sqrt(v_flat.dot(v_flat))
     radius = rho * v_norm
     if v_norm < epsilon:
         # math.hypot scales its arguments, so the norm of a tiny g cannot
         # underflow to 0 and slip past the radius test.
         g_norm = math.hypot(*g_flat)
         return (radius / g_norm) * g if g_norm > radius else g.copy()
-    g_par = (float(np.dot(g_flat, v_flat)) / (v_norm * v_norm)) * v_flat
+    g_par = (float(g_flat.dot(v_flat)) / (v_norm * v_norm)) * v_flat
     g_perp = g_flat - g_par
-    perp_norm = float(np.linalg.norm(g_perp))
+    perp_norm = math.sqrt(g_perp.dot(g_perp))
     scale = radius / perp_norm if perp_norm > radius else 1.0
     return (g_par + scale * g_perp).reshape(g.shape)
 
@@ -281,7 +282,7 @@ def guided_denoise(
             raise StructuralError(
                 f"velocity shape {step_velocity.shape} != chunk shape {x.shape} at solver step {k}"
             )
-        if not np.all(np.isfinite(step_velocity)):
+        if not np.isfinite(step_velocity).all():
             raise NumericError(f"non-finite velocity at solver step {k}")
         x = x + step_velocity / n
     return x

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,20 @@ def test_gm_velocity_domain_and_structure_errors():
         GaussianMixtureFieldParams(np.array([0.6, 0.5]), np.zeros((2, 1, 1)), np.array([1.0, 1.0]))
     with pytest.raises(StructuralError):
         GaussianMixtureFieldParams(np.array([1.0]), np.zeros((1, 1, 1)), np.array([0.0]))
+
+
+def test_mixture_params_are_frozen():
+    # The derived arrays are computed at construction; reassigning a field
+    # would leave them stale, so it must fail.
+    params = scalar_mixture([-0.5, 0.8], [0.4, 0.9], [0.3, 0.7])
+    for name, value in (("weights", [0.5, 0.5]), ("means", np.zeros((2, 1, 1))), ("scales", [1.0, 1.0])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.flat_means = np.zeros((2, 1))
+    assert np.array_equal(params.flat_means, [[-0.5], [0.8]])
+    assert np.array_equal(params.scales_sq, params.scales**2)
+    assert np.array_equal(params.log_weights, np.log(params.weights))
 
 
 def test_gm_velocity_batch_matches_single():

@@ -1,8 +1,10 @@
 """Property-based tests (Hypothesis) for the invariants the sampler relies on."""
 
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -14,12 +16,16 @@ from guidedflow.envs import (
     OraclePolicyParams,
     conditional_field,
 )
+from guidedflow import flow
+from guidedflow.errors import NumericError
 from guidedflow.flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
     VelocityField,
+    gm_linearize,
+    gm_velocity,
 )
-from guidedflow.guidance import otr_project
+from guidedflow.guidance import GuidanceConfig, InpaintTarget, guided_denoise, otr_project
 
 # Derandomized, so a tier-1 run is reproducible; widen max_examples to search.
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -83,6 +89,91 @@ def test_linearize_equals_evaluate_and_vjp(case):
     v, pullback = conditional.linearize(x, tau, obs)
     v_gm, pullback_gm = GaussianMixtureField(conditional.field_params(obs)).linearize(x, tau)
     assert np.array_equal(v, v_gm) and np.array_equal(pullback(u), pullback_gm(u))
+
+
+# ---------------------------------------------------------------------------
+# the batched velocity == the velocity of each row == linearize's velocity
+
+
+@st.composite
+def mixture_batches(draw):
+    """A random mixture with K <= 3 and H*D <= 40, a (B, H, D) batch and a time."""
+    k = draw(st.integers(1, 3))
+    h = draw(st.integers(1, 20))
+    d = draw(st.integers(1, 40 // h))
+    b = draw(st.integers(1, 6))
+    raw = draw(hnp.arrays(float, k, elements=unit_floats(0.05, 1.0)))
+    spread = draw(st.sampled_from([1.0, 30.0, 1e3]))
+    params = GaussianMixtureFieldParams(
+        weights=raw / raw.sum(),
+        means=spread * draw(hnp.arrays(float, (k, h, d), elements=unit_floats())),
+        scales=draw(hnp.arrays(float, k, elements=unit_floats(0.05, 2.0))),
+    )
+    x = spread * draw(hnp.arrays(float, (b, h, d), elements=unit_floats(-2.0, 2.0)))
+    return params, x, draw(unit_floats(0.0, 0.99))
+
+
+@PROPERTY_SETTINGS
+@given(mixture_batches())
+def test_batched_velocity_equals_per_row_and_linearize(case):
+    params, x, tau = case
+    batched = gm_velocity(x, tau, params)
+    assert batched.shape == x.shape
+    for row, v_row in zip(x, batched):
+        v = gm_velocity(row, tau, params)
+        assert np.array_equal(v_row, v)
+        assert np.array_equal(gm_linearize(row, tau, params)[0], v)
+
+
+# ---------------------------------------------------------------------------
+# extreme solver settings: a finite chunk, or a NumericError naming the step
+
+
+def extreme_case(method, n_steps, sigma_d, spread, seed):
+    rng = np.random.default_rng(seed)
+    h, d = 4, 2
+    params = GaussianMixtureFieldParams(
+        weights=np.array([0.5, 0.5]),
+        means=spread * rng.standard_normal((2, h, d)),
+        scales=np.array([0.05, 0.4]),
+    )
+    inpaint = InpaintTarget(spread * rng.standard_normal((h, d)), np.linspace(1.0, 0.0, h))
+    config = GuidanceConfig(method=method, n_steps=n_steps, beta=n_steps, sigma_d=sigma_d)
+    return rng.standard_normal((h, d)), GaussianMixtureField(params), inpaint, config
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(["rtc", "pc", "potr"]),
+    n_steps=st.sampled_from([1, 2, 10, 100, 1000]),
+    sigma_d=st.sampled_from([1e-3, 0.05, 0.4, 1.0]),
+    # At 1e3 the components sit so far apart that the responsibilities saturate.
+    spread=st.sampled_from([1.0, 1e3]),
+    seed=st.integers(0, 2**16),
+)
+def test_extreme_denoise_is_finite_or_names_the_step(method, n_steps, sigma_d, spread, seed):
+    noise, field, inpaint, config = extreme_case(method, n_steps, sigma_d, spread, seed)
+    try:
+        out = guided_denoise(noise, None, field, inpaint, config)
+    except NumericError as err:
+        assert re.search(r"step \d+", str(err)), str(err)
+    else:
+        assert out.shape == noise.shape and np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("method", ["rtc", "pc", "potr"])
+def test_denoise_after_tau_cache_eviction_is_bit_identical(method):
+    # n = 1000 solver steps visit more taus than the per-tau constant cache
+    # holds, so every denoise runs partly on recomputed constants.
+    noise, field, inpaint, config = extreme_case(method, 1000, 1e-3, 1e3, seed=7)
+    first = guided_denoise(noise, None, field, inpaint, config)
+    info = flow._tau_constants.cache_info()
+    assert info.currsize == info.maxsize < 1000
+    assert np.array_equal(guided_denoise(noise, None, field, inpaint, config), first)
+    # A short denoise from cached constants equals one from recomputed ones.
+    noise, field, inpaint, config = extreme_case(method, 10, 0.4, 1.0, seed=7)
+    fresh = guided_denoise(noise, None, field, inpaint, config)
+    assert np.array_equal(guided_denoise(noise, None, field, inpaint, config), fresh)
 
 
 # ---------------------------------------------------------------------------
