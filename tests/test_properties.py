@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from guidedflow import flow
 from guidedflow.envs import (
     ConditionalGMField,
     Observation,
@@ -16,7 +17,6 @@ from guidedflow.envs import (
     OraclePolicyParams,
     conditional_field,
 )
-from guidedflow import flow
 from guidedflow.errors import NumericError
 from guidedflow.flow import (
     GaussianMixtureField,
@@ -163,8 +163,8 @@ def test_extreme_denoise_is_finite_or_names_the_step(method, n_steps, sigma_d, s
 
 @pytest.mark.parametrize("method", ["rtc", "pc", "potr"])
 def test_denoise_after_tau_cache_eviction_is_bit_identical(method):
-    # n = 1000 solver steps visit more taus than the per-tau constant cache
-    # holds, so every denoise runs partly on recomputed constants.
+    # n = 1000 solver steps cycle through more taus than the per-tau
+    # constant cache holds, so both denoises recompute evicted constants.
     noise, field, inpaint, config = extreme_case(method, 1000, 1e-3, 1e3, seed=7)
     first = guided_denoise(noise, None, field, inpaint, config)
     info = flow._tau_constants.cache_info()
