@@ -9,12 +9,7 @@ soft per-row mask W:
     g = (W-masked residual) pulled back through the clean estimate  (a VJP)
     step velocity = v + w(tau) * g,    optionally trust-region clipped.
 
-Two weight schedules are provided.  The unit-prior schedule
-
-    w_rtc(tau) = min((tau^2 + (1-tau)^2) / (tau (1-tau)), beta)
-
-assumes clean data with unit variance and sags to 2.0 at tau = 0.5.  Keeping
-the data-prior scale sigma_d in the derivation instead gives
+The weight keeps the data-prior scale sigma_d in the derivation:
 
     r^2(tau) = (1-tau)^2 sigma_d^2 / ((1-tau)^2 + sigma_d^2 tau^2)
     w_pc(tau) = min(((1-tau)^2 + sigma_d^2 tau^2) / (sigma_d^2 tau (1-tau)), beta)
@@ -22,12 +17,17 @@ the data-prior scale sigma_d in the derivation instead gives
 which boosts mid-trajectory correction when plausible chunks are tightly
 concentrated around the conditional mean (sigma_d < 1).  A larger weight
 also amplifies the component of g transverse to the denoising velocity, so
-the full method additionally clips that component to a trust region of
-radius rho * ||v||, keeping the parallel component intact.
+the full method (potr) additionally clips that component to a trust region
+of radius rho * ||v||, keeping the parallel component intact.
+
+The guided methods are settings of this one step, by construction: rtc is
+pc at sigma_d = 1 (the unit-prior weight, which sags to 2.0 at tau = 0.5),
+and pc is potr at rho = inf (where the projection returns g unchanged).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -58,12 +58,14 @@ class GuidanceMethod(Enum):
     POTR = "potr"    # prior-corrected weight + orthogonal trust region
 
 
-@dataclass
+@dataclass(frozen=True)
 class GuidanceConfig:
     """Parameters of one guided denoising run.
 
-    rho = math.inf disables the trust region; with sigma_d = 1 and
-    rho = inf, PC/POTR reduce to RTC exactly.  beta should normally equal
+    Immutable: construction resolves ``method`` once into ``guided`` (not
+    naive), ``weight_sigma`` (1.0 for rtc, else sigma_d) and ``radius`` (rho
+    for potr, else inf), so rtc is pc at sigma_d = 1 and pc is potr at
+    rho = inf by construction.  beta should normally equal
     n_steps: the solver scales each correction by 1/n, so scaling the clip
     with n keeps the effective correction strength resolution-independent.
     The useful range of rho tracks the typical correction-to-velocity norm
@@ -83,19 +85,22 @@ class GuidanceConfig:
     guide_first_step: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.method, GuidanceMethod):
-            self.method = GuidanceMethod(self.method)
+        set_field = functools.partial(object.__setattr__, self)  # the instance is frozen
+        set_field("method", GuidanceMethod(self.method))
         if not (self.sigma_d > 0.0):
             raise StructuralError(f"sigma_d must be positive, got {self.sigma_d}")
         if not (self.rho > 0.0):
             raise StructuralError(f"rho must be positive (or inf), got {self.rho}")
         if int(self.n_steps) < 1:
             raise StructuralError(f"n_steps must be >= 1, got {self.n_steps}")
-        self.n_steps = int(self.n_steps)
+        set_field("n_steps", int(self.n_steps))
         if not (self.beta > 0.0):
             raise StructuralError(f"beta must be positive, got {self.beta}")
         if not (0.0 < self.epsilon <= 1e-6):
             raise StructuralError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
+        set_field("guided", self.method is not GuidanceMethod.NAIVE)
+        set_field("weight_sigma", 1.0 if self.method is GuidanceMethod.RTC else self.sigma_d)
+        set_field("radius", self.rho if self.method is GuidanceMethod.POTR else math.inf)
 
 
 @dataclass
@@ -129,12 +134,11 @@ def _check_open_tau(tau: float) -> float:
 def rtc_weight(tau: float, beta: float) -> float:
     """Unit-prior guidance weight min((tau^2 + (1-tau)^2) / (tau (1-tau)), beta).
 
-    Equals min((1-tau)(1 + SNR(tau))/tau, beta) with SNR(tau) = tau^2/(1-tau)^2;
-    symmetric under tau <-> 1-tau, with minimum value 2 at tau = 0.5.
+    This is pc_weight at sigma_d = 1: min((1-tau)(1 + SNR(tau))/tau, beta)
+    with SNR(tau) = tau^2/(1-tau)^2, symmetric under tau <-> 1-tau, with
+    minimum value 2 at tau = 0.5.
     """
-    tau = _check_open_tau(tau)
-    one_m = 1.0 - tau
-    return min((tau * tau + one_m * one_m) / (tau * one_m), beta)
+    return pc_weight(tau, 1.0, beta)
 
 
 def r_tau_sq(tau: float, sigma_d: float) -> float:
@@ -154,8 +158,8 @@ def r_tau_sq(tau: float, sigma_d: float) -> float:
 def pc_weight(tau: float, sigma_d: float, beta: float) -> float:
     """Prior-corrected weight min(((1-tau)^2 + sigma_d^2 tau^2) / (sigma_d^2 tau (1-tau)), beta).
 
-    This is (1-tau) / (tau * r_tau_sq(tau, sigma_d)) clipped at beta, and
-    reduces to rtc_weight at sigma_d = 1 (bit-exactly, by construction).
+    This is (1-tau) / (tau * r_tau_sq(tau, sigma_d)) clipped at beta; at
+    sigma_d = 1 it is the unit-prior weight rtc_weight.
     """
     tau = _check_open_tau(tau)
     if not (sigma_d > 0.0):
@@ -242,14 +246,15 @@ def guided_denoise(
     step x + v / n.  Unless the method is NAIVE (or k = 0 with
     guide_first_step unset, where the weight is undefined), the step instead
     linearizes the field, so the velocity and its pullback come from one
-    evaluation; computes the pseudoinverse correction g, weights it by the
-    method's schedule and trust-region-projects it for POTR; and steps with
-    x + (v + g_final) / n.  NAIVE shares the identical loop with guidance
-    short-circuited, so baselines are bit-comparable.  ``noise`` is validated
-    once; a step velocity of the wrong shape raises StructuralError and a
-    non-finite one NumericError, naming the solver step.
+    evaluation; computes the pseudoinverse correction g, weights it by w_pc
+    at the config's ``weight_sigma``, trust-region-projects it at the
+    config's ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
+    the identical loop with guidance short-circuited, so baselines are
+    bit-comparable.  ``noise`` is validated once; a step velocity of the
+    wrong shape raises StructuralError and a non-finite one NumericError,
+    naming the solver step.
     """
-    if inpaint is None and config.method is not GuidanceMethod.NAIVE:
+    if inpaint is None and config.guided:
         raise StructuralError(f"method {config.method.value} requires an inpainting target")
     x = as_chunk(noise, "noise")
     if inpaint is not None and inpaint.target.shape != x.shape:
@@ -259,21 +264,15 @@ def guided_denoise(
     n = config.n_steps
     for k in range(n):
         tau = k / n
-        if config.method is GuidanceMethod.NAIVE or (k == 0 and not config.guide_first_step):
+        if not config.guided or (k == 0 and not config.guide_first_step):
             step_velocity = field.evaluate(x, tau, observation)
         else:
             velocity, pullback = field.linearize(x, tau, observation)
             try:
                 g = pseudoinverse_correction(x, tau, velocity, inpaint, pullback)
-                if k == 0:
-                    w = config.beta  # clipped value; the schedule diverges at tau = 0
-                elif config.method is GuidanceMethod.RTC:
-                    w = rtc_weight(tau, config.beta)
-                else:
-                    w = pc_weight(tau, config.sigma_d, config.beta)
-                g_final = w * g
-                if config.method is GuidanceMethod.POTR:
-                    g_final = otr_project(g_final, velocity, config.rho, config.epsilon)
+                # The schedule diverges at tau = 0, where w takes its clipped value.
+                w = pc_weight(tau, config.weight_sigma, config.beta) if k else config.beta
+                g_final = otr_project(w * g, velocity, config.radius, config.epsilon)
             except (StructuralError, DomainError, NumericError) as err:
                 raise type(err)(f"denoising step {k}: {err}") from err
             step_velocity = velocity + g_final

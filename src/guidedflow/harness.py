@@ -15,6 +15,7 @@ replanning every step there is no intra-chunk switching to measure.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -49,10 +50,6 @@ __all__ = [
     "DEFAULT_RHO_GRID",
 ]
 
-ROW_HEADER = [
-    "method", "delay", "suite", "seed", "success",
-    "env_steps", "l2_mean", "l2_max", "max_acc", "max_jerk",
-]
 SIGMA_GRID_HEADER = ["sigma_d", "success", "steps", "l2_m", "l2_M", "acc", "jerk"]
 RHO_GRID_HEADER = ["rho", "success", "steps", "l2_m", "l2_M", "acc", "jerk"]
 DEFAULT_SIGMA_GRID = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -188,6 +185,20 @@ class ResultRow:
 
     def sort_key(self):
         return (self.method, self.delay, self.suite, self.seed)
+
+
+# How read_rows reads a field, by the field's type: a parser that raises
+# ValueError or KeyError on text it cannot read, a check every parsed value
+# must pass (None: no check) and what an error says the field must be.
+_ROW_FIELD_TYPES = {
+    str: (str, None, "text"),
+    int: (int, (0).__le__, "a non-negative integer"),
+    bool: ({"0": False, "1": True}.__getitem__, None, "0 or 1"),
+    float: (float, math.isfinite, "a finite number"),
+}
+_ROW_FIELDS = {name: _ROW_FIELD_TYPES[hint] for name, hint in get_type_hints(ResultRow).items()}
+_ROW_FIELDS["method"] = ({m: m for m in _METHOD_NAMES}.__getitem__, None, f"one of {_METHOD_NAMES}")
+ROW_HEADER = list(_ROW_FIELDS)
 
 
 @dataclass
@@ -480,28 +491,56 @@ def write_rows(rows: Sequence[ResultRow], path) -> None:
 
 
 def read_rows(path) -> list[ResultRow]:
-    rows = []
+    """Read a row file written by ``write_rows``.
+
+    A wrong header or a malformed record raises ConfigError naming the file
+    and line: a wrong field count, a number that does not parse, success
+    other than 0 or 1, an unknown method, a negative delay, seed or
+    env_steps, or a non-finite metric.
+    """
+    rows: list[ResultRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ROW_HEADER:
-            raise ConfigError(f"unexpected row-file header {header}")
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    method=rec[0],
-                    delay=int(rec[1]),
-                    suite=rec[2],
-                    seed=int(rec[3]),
-                    success=bool(int(rec[4])),
-                    env_steps=int(rec[5]),
-                    l2_mean=float(rec[6]),
-                    l2_max=float(rec[7]),
-                    max_acc=float(rec[8]),
-                    max_jerk=float(rec[9]),
-                )
-            )
+            raise ConfigError(f"{path}:1: unexpected row-file header {header}")
+        # Parse and check whole columns of 512 records at a time, which keeps
+        # the transient columns small; only a malformed file pays for the
+        # record-by-record pass that finds its first bad line.
+        while records := list(itertools.islice(reader, 512)):
+            try:
+                columns = [
+                    list(map(parse, texts))
+                    for (parse, _, _), texts in zip(
+                        _ROW_FIELDS.values(), zip(*records, strict=True), strict=True
+                    )
+                ]
+            except (ValueError, KeyError):
+                raise _malformed_record(path) from None
+            for (_, valid, _), column in zip(_ROW_FIELDS.values(), columns):
+                if valid is not None and not all(map(valid, column)):
+                    raise _malformed_record(path)
+            rows.extend(map(ResultRow, *columns))
     return rows
+
+
+def _malformed_record(path) -> ConfigError:
+    """The error naming the first record of a row file that read_rows rejects."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header, already checked
+        for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(rec) != len(ROW_HEADER):
+                return ConfigError(f"{where}: expected {len(ROW_HEADER)} fields, got {len(rec)}")
+            for (name, (parse, valid, what)), text in zip(_ROW_FIELDS.items(), rec):
+                try:
+                    value = parse(text)
+                    ok = valid is None or valid(value)
+                except (ValueError, KeyError):
+                    ok = False
+                if not ok:
+                    return ConfigError(f"{where}: {name} must be {what}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------

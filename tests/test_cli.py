@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from guidedflow.cli import main
@@ -73,6 +75,37 @@ def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error:")
     assert not (tmp_path / "out").exists()
+
+
+GOLDEN_HEADER = (Path(__file__).parent / "golden" / "rows.csv").read_text().splitlines()[0]
+GOOD_RECORD = "potr,1,bimodal,0,1,30,0.25,0.5,1.5,3.0"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "potr,1,bimodal,0,1,30,0.25",  # 7 fields
+        GOOD_RECORD + ",0.0",  # 11 fields
+        "potr,1.5,bimodal,0,1,30,0.25,0.5,1.5,3.0",  # an integer that does not parse
+        "potr,1,bimodal,0,1,30,abc,0.5,1.5,3.0",  # a float that does not parse
+        "potr,1,bimodal,0,7,30,0.25,0.5,1.5,3.0",  # success other than 0 or 1
+        "zzz,1,bimodal,0,1,30,0.25,0.5,1.5,3.0",  # an unknown method
+        "potr,-4,bimodal,0,7,30,0.25,0.5,1.5,3.0",  # a negative delay
+        "potr,1,bimodal,-1,1,30,0.25,0.5,1.5,3.0",  # a negative seed
+        "potr,1,bimodal,0,1,-30,0.25,0.5,1.5,3.0",  # negative env_steps
+        "potr,1,bimodal,0,1,30,nan,0.5,1.5,3.0",  # non-finite metrics
+        "potr,1,bimodal,0,1,30,0.25,inf,1.5,3.0",
+        "potr,1,bimodal,0,1,30,0.25,0.5,1.5,-inf",
+    ],
+)
+def test_malformed_row_file_fails_at_the_boundary(tmp_path, capsys, record):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"{GOLDEN_HEADER}\n{GOOD_RECORD}\n{record}\n")
+    out_file = tmp_path / "summary.json"
+    assert main(["summarize", "--rows", str(rows), "--out-file", str(out_file)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"configuration error: {rows}:3: ")
+    assert not out_file.exists()
 
 
 @pytest.mark.filterwarnings("ignore:no rtc rows present")

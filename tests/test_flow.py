@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guidedflow.errors import DomainError, NumericError, StructuralError
 from guidedflow.flow import (
@@ -303,25 +305,36 @@ def test_estimate_vjp_scalar_closed_form():
     assert np.allclose(got, fd, rtol=1e-6)
 
 
-def test_estimate_vjp_matches_finite_differences_random_mixtures():
-    rng = np.random.default_rng(21)
+class HiddenLinearization(GaussianMixtureField):
+    """The mixture field with its analytic linearization hidden."""
 
-    class Hidden(GaussianMixtureField):
-        linearize = VelocityField.linearize
+    linearize = VelocityField.linearize
 
-    for _ in range(25):
-        k, h, d = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 3)
-        params = GaussianMixtureFieldParams(
-            weights=np.full(k, 1.0 / k),
-            means=rng.standard_normal((k, h, d)),
-            scales=rng.uniform(0.3, 1.2, k),
-        )
-        x = 1.5 * rng.standard_normal((h, d))
-        u = rng.standard_normal((h, d))
-        tau = rng.uniform(0.05, 0.8)
-        a = pullback_through_estimate(u, tau, GaussianMixtureField(params).linearize(x, tau)[1])
-        n = pullback_through_estimate(u, tau, Hidden(params).linearize(x, tau)[1])
-        assert np.linalg.norm(a - n) <= 1e-4 * max(np.linalg.norm(n), 1e-8)
+
+@st.composite
+def fd_cases(draw):
+    """A uniform-weight mixture, a point x ~ 1.5 N(0, 1), a cotangent and a time.
+
+    The ranges stay small because the finite-difference step's truncation
+    error sets the 1e-4 bound.  The Gaussian draws come from a drawn seed.
+    """
+    k, h, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    scales = draw(st.lists(st.floats(0.3, 1.2), min_size=k, max_size=k))
+    tau = draw(st.floats(0.05, 0.8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = GaussianMixtureFieldParams(
+        weights=np.full(k, 1.0 / k), means=rng.standard_normal((k, h, d)), scales=scales
+    )
+    return params, 1.5 * rng.standard_normal((h, d)), rng.standard_normal((h, d)), tau
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fd_cases())
+def test_estimate_vjp_matches_finite_differences_random_mixtures(case):
+    params, x, u, tau = case
+    a = pullback_through_estimate(u, tau, GaussianMixtureField(params).linearize(x, tau)[1])
+    n = pullback_through_estimate(u, tau, HiddenLinearization(params).linearize(x, tau)[1])
+    assert np.linalg.norm(a - n) <= 1e-4 * max(np.linalg.norm(n), 1e-8)
 
 
 def test_estimate_vjp_linear_in_cotangent():

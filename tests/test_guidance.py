@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,24 @@ def test_guidance_config_validation():
     with pytest.raises(StructuralError):
         GuidanceConfig(n_steps=0)
     assert GuidanceConfig(method="rtc").method is GuidanceMethod.RTC
+
+
+@pytest.mark.parametrize(
+    "method, settings",
+    [
+        ("naive", (False, 0.3, math.inf)),
+        ("rtc", (True, 1.0, math.inf)),
+        ("pc", (True, 0.3, math.inf)),
+        ("potr", (True, 0.3, 2.0)),
+    ],
+)
+def test_guidance_config_is_frozen_and_resolves_the_method_once(method, settings):
+    cfg = GuidanceConfig(method=method, sigma_d=0.3, rho=2.0)
+    assert (cfg.guided, cfg.weight_sigma, cfg.radius) == settings
+    assert len(dataclasses.fields(cfg)) == 7
+    for name in [f.name for f in dataclasses.fields(cfg)] + ["guided", "weight_sigma", "radius"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,25 @@ def test_write_rows_sorted(tmp_path):
     assert [r.method for r in parsed] == ["naive", "rtc"]
 
 
+def test_read_rows_across_blocks_names_the_bad_line(tmp_path):
+    # read_rows parses 512 records at a time; the bad record sits in the third block.
+    rows = [
+        ResultRow("pc", i % 6, "unimodal", i, i % 3 == 0, 10 + i % 50, 0.1 * i, 0.2, 0.3, 0.4)
+        for i in range(1200)
+    ]
+    path = tmp_path / "rows.csv"
+    write_rows(rows, path)
+    assert read_rows(path) == sorted(rows, key=ResultRow.sort_key)
+    lines = path.read_text().splitlines()
+    fields_1100 = lines[1099].split(",")
+    lines[1099] = ",".join(fields_1100[:1] + ["-4"] + fields_1100[2:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"rows\.csv:1100: delay must be a non-negative integer"):
+        read_rows(path)
+    path.write_text("\n".join(lines[:1]) + "\n")
+    assert read_rows(path) == []
+
+
 def test_paired_seeding_is_method_independent(tmp_path):
     # Guidance fully masked (s = H) must reproduce naive exactly, which can
     # only happen if both methods consume identical noise streams.

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -273,3 +273,55 @@ def test_otr_constraint_idempotence_and_parallel_part(case):
         assert abs(np.dot(of, vf) - np.dot(gf, vf)) <= 1e-12 * dot_scale
     again = otr_project(out, v, rho, eps)
     assert np.allclose(again, out, rtol=1e-12, atol=1e-12 * g_max)
+
+
+# ---------------------------------------------------------------------------
+# landing identity: pc at sigma_d = s puts hard-masked rows exactly on Y
+
+
+def landing_residual(s, sigma_d, n, h, d, masked, seed):
+    """max |x - Y| over the masked rows after a pc denoise with beta = n.
+
+    The prior is one component N(mu, s^2 I).  Its clean-estimate Jacobian is
+    J(tau) = tau s^2 / (tau^2 s^2 + (1-tau)^2), so at sigma_d = s the pc
+    weight satisfies (1-tau) w_pc(tau) J(tau) = 1, and an unclipped last
+    Euler step lands the hard-masked rows on Y.
+    """
+    rng = np.random.default_rng(seed)
+    mu = rng.standard_normal((h, d))
+    params = GaussianMixtureFieldParams(weights=np.ones(1), means=mu[None], scales=np.array([s]))
+    target = mu + rng.standard_normal((h, d))
+    inpaint = InpaintTarget(target, (np.arange(h) < masked).astype(float))
+    config = GuidanceConfig(method="pc", sigma_d=sigma_d, n_steps=n, beta=n)
+    noise = rng.standard_normal((h, d))
+    out = guided_denoise(noise, None, GaussianMixtureField(params), inpaint, config)
+    return float(np.abs(out[:masked] - target[:masked]).max())
+
+
+@st.composite
+def unclipped_landings(draw):
+    """n and s with s^2 (n-1) >= 1, which is exactly w_pc((n-1)/n) <= beta = n."""
+    n = draw(st.integers(2, 1000))
+    s = draw(unit_floats(math.sqrt(1.0 / (n - 1)), 3.0))
+    masked = draw(st.integers(1, 3))
+    return s, n, draw(st.integers(masked, 6)), draw(st.integers(1, 2)), masked
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(unclipped_landings(), st.integers(0, 2**16))
+def test_pc_at_prior_scale_lands_masked_rows_on_target(case, seed):
+    s, n, h, d, masked = case
+    assume(s * s * (n - 1) >= 1.0)
+    assert landing_residual(s, s, n, h, d, masked, seed) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "s, sigma_d",
+    [
+        (0.4, 1.0),  # rtc's unit prior: the weight is too small to land
+        (0.4, 0.2),  # sigma_d below the prior scale
+        (0.1, 0.1),  # matched, but w_pc(0.9) = 20.1 is clipped at beta = 10
+    ],
+)
+def test_pc_off_prior_scale_or_clipped_does_not_land(s, sigma_d):
+    assert landing_residual(s, sigma_d, 10, 6, 2, 3, seed=0) >= 1e-3
