@@ -149,7 +149,6 @@ class ChunkExecutor:
         self.field = field
         self.config = config
         self.delay = int(delay)
-        self.mask_decay = float(mask_decay)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.record_requests = record_requests
         self.requests: list[RequestRecord] = []
@@ -165,6 +164,9 @@ class ChunkExecutor:
             raise StructuralError(
                 f"replan_every s={self.replan_every} must lie in [1, H={self.horizon}]"
             )
+        # Every request shares this read-only soft mask.
+        self.mask = build_soft_mask(self.horizon, self.delay, self.replan_every, mask_decay)
+        self.mask.flags.writeable = False
         self.state: Optional[ChunkScheduleState] = None
         self._last_action: Optional[np.ndarray] = None
         self._actions: list[np.ndarray] = []
@@ -236,9 +238,8 @@ class ChunkExecutor:
         obs = self.env.observe()
         noise = self.rng.standard_normal((self.horizon, self.env.action_dim))
         target = build_inpaint_target(self.state.active_chunk, self.replan_every)
-        mask = build_soft_mask(self.horizon, self.delay, self.replan_every, self.mask_decay)
         self.state.pending = PendingRequest(
-            issued_at=t, observation=obs, noise=noise, inpaint=InpaintTarget(target, mask)
+            issued_at=t, observation=obs, noise=noise, inpaint=InpaintTarget(target, self.mask)
         )
 
     def _swap(self, t: int) -> Optional[BoundaryEvent]:

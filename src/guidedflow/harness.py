@@ -20,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
@@ -29,7 +30,7 @@ from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask
 from .envs import ConditionalGMField, OraclePolicyParams, TaskVariant, default_variants, make_env
 from .errors import ConfigError, StructuralError
 from .guidance import GuidanceConfig, GuidanceMethod
-from .metrics import aggregate_weighted, episode_metrics, worst_case
+from .metrics import episode_metrics
 
 __all__ = [
     "ExperimentConfig",
@@ -60,6 +61,8 @@ _VARIANT_REGISTRY = {v.name: v for v in default_variants()}
 
 SMOOTHNESS_METRICS = ("l2_mean", "l2_max", "max_acc", "max_jerk")
 ALL_METRICS = ("success", "env_steps") + SMOOTHNESS_METRICS
+_WORST_NAMES = [f"worst_{metric}" for metric in SMOOTHNESS_METRICS]
+_CELL_KEY = attrgetter("method", "suite", "delay")
 
 
 @dataclass
@@ -305,93 +308,102 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     return SweepResult(rows, summary, overruns, rows_path, summary_path)
 
 
-def _mean(values: Sequence[float]) -> float:
-    return float(np.mean(values)) if len(values) else math.nan
-
-
-def _cell_means(rows: Sequence[ResultRow]) -> dict:
-    """Per-cell metric means; env_steps averages successful episodes only."""
-    succ_steps = [r.env_steps for r in rows if r.success]
-    return {
-        "success": _mean([1.0 if r.success else 0.0 for r in rows]),
-        "env_steps": _mean(succ_steps),
-        "l2_mean": _mean([r.l2_mean for r in rows]),
-        "l2_max": _mean([r.l2_max for r in rows]),
-        "max_acc": _mean([r.max_acc for r in rows]),
-        "max_jerk": _mean([r.max_jerk for r in rows]),
-    }
-
-
-def _cells(rows: Sequence[ResultRow]) -> dict:
-    """(method, suite, delay) -> _cell_means of that cell, grouped in one pass."""
-    groups: dict = {}
-    for r in rows:
-        groups.setdefault((r.method, r.suite, r.delay), []).append(r)
-    return {key: _cell_means(group) for key, group in groups.items()}
-
-
-def _combine(cells: dict, variant_weights: dict[str, int]) -> dict:
-    """Episode-weighted cross-suite value of each metric over a {suite: cell} mapping.
-
-    Suites whose cell has no value for a metric are left out; a metric no
-    suite has a value for is nan.
-    """
-    out = {}
-    for metric in ALL_METRICS:
-        pairs = [
-            (variant_weights[s], cells[s][metric])
-            for s in sorted(cells)
-            if not math.isnan(cells[s][metric])
-        ]
-        out[metric] = aggregate_weighted(pairs) if pairs else math.nan
-    return out
-
-
-def _clean(block: dict) -> dict:
-    """nan -> None, so metrics without a value serialize as JSON null."""
-    return {metric: None if math.isnan(value) else value for metric, value in block.items()}
-
-
-def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dict:
-    """Per-method delay-1-5 aggregate, vs-rtc deltas, and worst-case block."""
-    if len(rows) == 0:
-        raise ConfigError("summarize requires at least one result row")
-    methods = sorted({r.method for r in rows})
-    agg_delays = sorted({r.delay for r in rows if r.delay != 0})
-    suites = sorted({r.suite for r in rows})
+def _suite_weights(suites: Sequence[str], variant_weights: dict) -> list[int]:
+    """Each suite's weight; ConfigError naming the suite unless it is an integer >= 1."""
     for s in suites:
         if s not in variant_weights:
             raise ConfigError(f"no weight given for suite {s!r}")
+        w = variant_weights[s]
+        try:
+            ok = w >= 1 and w == int(w)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"suite {s!r} has weight {w!r}; weights must be integers >= 1")
+    return [int(variant_weights[s]) for s in suites]
+
+
+def _cell_cube(rows: Sequence[ResultRow], variant_weights: dict):
+    """Sorted methods, suites and delays, suite weights, and each cell's ALL_METRICS means.
+
+    cube[method, suite, delay] is nan where a cell or value is missing; env_steps
+    averages successful rows.  A stable sort of first-seen cell codes keeps each
+    cell's rows in order, so one reduction of its slice equals np.mean bit for bit.
+    """
+    n = len(rows)
+    first: dict = {}  # cell key -> index of its first row
+    codes = np.fromiter(map(first.setdefault, map(_CELL_KEY, rows), range(n)), np.intp, n)
+    order = np.argsort(codes, kind="stable")
+    block = np.empty((len(ALL_METRICS), n))
+    for column, metric in zip(block, ALL_METRICS):
+        np.take(np.fromiter(map(attrgetter(metric), rows), float, n), order, out=column)
+    methods, suites, delays = (sorted(set(axis)) for axis in zip(*first))
+    weights = _suite_weights(suites, variant_weights)
+    at = [{v: i for i, v in enumerate(axis)} for axis in (methods, suites, delays)]
+    cube = np.full((len(methods), len(suites), len(delays), len(ALL_METRICS)), np.nan)
+    start = 0
+    for key, end in zip(first, np.bincount(codes)[list(first.values())].cumsum().tolist()):
+        cell = block[:, start:end]
+        means = np.add.reduce(cell, axis=1) / (end - start)
+        steps = cell[1, cell[0] != 0]
+        means[1] = np.add.reduce(steps) / steps.size if steps.size else math.nan
+        cube[tuple(a[k] for a, k in zip(at, key))] = means
+        start = end
+    return methods, suites, delays, weights, cube
+
+
+def _masked_mean(values: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+    """sum(w * v) / sum(w) along the last axis over the values that are not nan; nan if none is.
+
+    Kept values are packed to the row's front in order and rows keeping k are summed as one
+    (rows, k) block: np.sum of the kept list equals it bit for bit, as zero-filling would not.
+    """
+    *outer, width = values.shape
+    values = values.reshape(math.prod(outer), width)
+    missing = np.isnan(values)
+    pack = np.argsort(missing, axis=1, kind="stable")
+    weights = np.asarray(weights, dtype=float)[pack]
+    weighted = np.take_along_axis(values, pack, 1) * weights
+    kept = width - missing.sum(1)
+    out = np.full(len(values), np.nan)
+    for k in set(kept.tolist()) - {0}:
+        rows = kept == k
+        out[rows] = np.add.reduce(weighted[rows, :k], 1) / np.add.reduce(weights[rows, :k], 1)
+    return out.reshape(outer)
+
+
+def _block(names: Sequence[str], values: Sequence[float]) -> dict:
+    """nan -> None, so metrics without a value serialize as JSON null."""
+    return {name: None if math.isnan(v) else v for name, v in zip(names, values)}
+
+
+def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dict:
+    """Per-method delay-1-5 aggregate, vs-rtc deltas, and worst-case block.
+
+    Every suite in the rows needs a weight that is an integer >= 1 (9.0
+    counts as 9); a suite's cells are weighted by it across suites.
+    """
+    if len(rows) == 0:
+        raise ConfigError("summarize requires at least one result row")
+    methods, suites, delays, weights, cube = _cell_cube(rows, variant_weights)
+    agg = [i for i, d in enumerate(delays) if d != 0]
+    agg_delays, cube = [delays[i] for i in agg], cube[:, :, agg]
+    per_delay = _masked_mean(cube.transpose(0, 2, 3, 1), weights)
+    # Per suite, the arithmetic mean over delays of the per-delay cell means.
+    per_suite = _masked_mean(cube.transpose(0, 1, 3, 2), [1.0] * len(agg))
+    overall = _masked_mean(per_suite.transpose(0, 2, 1), weights)
+    # SMOOTHNESS_METRICS follow success and env_steps in ALL_METRICS.
+    worst = np.fmax.reduce(per_suite[:, :, 2:], axis=1)
     summary: dict = {
         "aggregated_delays": agg_delays,
-        "suite_weights": {s: int(variant_weights[s]) for s in suites},
-        "methods": {},
-        "worst_case": {},
-        "per_delay": {},
+        "suite_weights": dict(zip(suites, weights)),
+        "methods": {m: _block(ALL_METRICS, v) for m, v in zip(methods, overall.tolist())},
+        "worst_case": {m: _block(_WORST_NAMES, v) for m, v in zip(methods, worst.tolist())},
+        "per_delay": {
+            m: {str(d): _block(ALL_METRICS, v) for d, v in zip(agg_delays, by_delay)}
+            for m, by_delay in zip(methods, per_delay.tolist())
+        },
     }
-    table = _cells(rows)
-    for method in methods:
-        by_delay = {
-            d: {s: table[(method, s, d)] for s in suites if (method, s, d) in table}
-            for d in agg_delays
-        }
-        # Per suite, the arithmetic mean over delays of the per-delay cell means.
-        per_suite = {}
-        for s in suites:
-            delay_cells = [cells[s] for cells in by_delay.values() if s in cells]
-            per_suite[s] = {
-                metric: _mean([c[metric] for c in delay_cells if not math.isnan(c[metric])])
-                for metric in ALL_METRICS
-            }
-        summary["methods"][method] = _clean(_combine(per_suite, variant_weights))
-        worst = {}
-        for metric in SMOOTHNESS_METRICS:
-            vals = [c[metric] for c in per_suite.values() if not math.isnan(c[metric])]
-            worst[f"worst_{metric}"] = worst_case(vals) if vals else None
-        summary["worst_case"][method] = worst
-        summary["per_delay"][method] = {
-            str(d): _clean(_combine(cells, variant_weights)) for d, cells in by_delay.items()
-        }
     if "rtc" in summary["methods"]:
         deltas = {}
         rtc_block = summary["methods"]["rtc"]
@@ -427,10 +439,10 @@ def _grid_search(
     table = []
     for value in grid:
         rows, _ = _run_cell(replace(config, **{param: float(value)}), method, delay)
-        cells = {suite: cell for (_, suite, _), cell in _cells(rows).items()}
-        agg = _combine(cells, dict(config.variants))
+        _, _, _, weights, cube = _cell_cube(rows, dict(config.variants))
+        agg = _masked_mean(cube[0, :, 0].T, weights)
         # The header names the parameter, then ALL_METRICS in order.
-        table.append(dict(zip(header, [float(value)] + [agg[m] for m in ALL_METRICS])))
+        table.append(dict(zip(header, [float(value)] + agg.tolist())))
     if path is not None:
         _write_table(table, header, path)
     return table

@@ -91,8 +91,8 @@ def aggregate_weighted(suite_means: Iterable[tuple[float, float]]) -> float:
         raise StructuralError("aggregate_weighted requires at least one suite")
     weights = np.array([p[0] for p in pairs], dtype=float)
     values = np.array([p[1] for p in pairs], dtype=float)
-    if np.any(weights < 1):
-        raise StructuralError("suite weights must be >= 1")
+    if not (np.isfinite(weights) & (weights >= 1)).all():
+        raise StructuralError("suite weights must be finite and >= 1")
     return float(np.sum(weights * values) / np.sum(weights))
 
 

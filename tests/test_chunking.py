@@ -191,6 +191,22 @@ def test_executor_validation():
         ex.step()  # reset() required first
 
 
+@pytest.mark.parametrize("decay", [0.0, float("nan"), 2.0])
+def test_executor_rejects_mask_decay_at_construction(decay):
+    with pytest.raises(StructuralError, match="decay"):
+        run_executor("potr", 2, mask_decay=decay)
+
+
+def test_executor_shares_one_read_only_mask():
+    ex = run_executor("potr", 2, mask_decay=0.5, record_requests=True)
+    assert np.array_equal(ex.mask, build_soft_mask(10, 2, 2, 0.5))
+    with pytest.raises(ValueError):
+        ex.mask[0] = 0.0
+    ex.run()
+    assert len(ex.requests) > 1
+    assert all(r.inpaint.mask is ex.mask for r in ex.requests)
+
+
 def test_pending_request_freezes_observation():
     ex = run_executor("potr", 3, seed=13)
     ex.reset()

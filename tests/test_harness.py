@@ -177,6 +177,10 @@ def test_summary_excludes_delay_zero_and_uses_weights():
         summary = summarize(rows, {"unimodal": 1, "bimodal": 9})
     assert summary["aggregated_delays"] == [1]
     assert summary["methods"]["naive"]["l2_mean"] == pytest.approx((0.2 + 9 * 0.4) / 10)
+    # An integral float weight counts as its integer.
+    with pytest.warns(UserWarning):
+        assert summarize(rows, {"unimodal": 1.0, "bimodal": 9.0}) == summary
+    assert summary["suite_weights"] == {"bimodal": 9, "unimodal": 1}
 
 
 def test_summary_worst_case_block():
@@ -244,6 +248,16 @@ def test_summary_missing_cell_and_all_failed_suite():
         ["worst_l2_mean", "worst_l2_max", "worst_max_acc", "worst_max_jerk"]
     )
     assert summary["vs_rtc"]["naive"] == empty
+
+
+@pytest.mark.parametrize("weight", [9.7, float("nan"), float("inf"), 0, -3, "9"])
+def test_summary_rejects_suite_weight_that_is_not_an_integer_from_one(weight):
+    rows = [
+        ResultRow("rtc", 1, "unimodal", 0, True, 10, 0.2, 0.2, 1.0, 1.0),
+        ResultRow("rtc", 1, "bimodal", 0, True, 10, 0.4, 0.4, 1.0, 1.0),
+    ]
+    with pytest.raises(ConfigError, match="'bimodal'"):
+        summarize(rows, {"unimodal": 1, "bimodal": weight})
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,14 @@ def test_aggregate_empty_is_error():
         worst_case([])
 
 
+@pytest.mark.parametrize(
+    "pairs", [[(float("nan"), 0.5), (1, 0.2)], [(float("inf"), 0.5)]]
+)
+def test_aggregate_rejects_non_finite_weights(pairs):
+    with pytest.raises(StructuralError, match="weights"):
+        aggregate_weighted(pairs)
+
+
 def test_worst_case():
     assert worst_case([0.7, 0.7, 0.7]) == pytest.approx(0.7)
     assert worst_case([5.75, 3.86, 4.72, 4.30, 5.85]) == pytest.approx(5.85)

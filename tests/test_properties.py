@@ -1,7 +1,10 @@
 """Property-based tests (Hypothesis) for the invariants the sampler relies on."""
 
+import itertools
+import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from guidedflow.flow import (
     gm_velocity,
 )
 from guidedflow.guidance import GuidanceConfig, InpaintTarget, guided_denoise, otr_project
+from guidedflow.harness import ALL_METRICS, SMOOTHNESS_METRICS, ResultRow, summarize
+from guidedflow.metrics import aggregate_weighted, worst_case
 
 # Derandomized, so a tier-1 run is reproducible; widen max_examples to search.
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -325,3 +330,165 @@ def test_pc_at_prior_scale_lands_masked_rows_on_target(case, seed):
 )
 def test_pc_off_prior_scale_or_clipped_does_not_land(s, sigma_d):
     assert landing_residual(s, sigma_d, 10, 6, 2, 3, seed=0) >= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# summarize == the list-based aggregation it replaced, bit for bit
+#
+# The reference below is summarize as it was before the column table: one
+# np.mean per cell and metric over Python lists, and aggregate_weighted per
+# metric across suites.
+
+
+def _reference_mean(values):
+    return float(np.mean(values)) if len(values) else math.nan
+
+
+def _reference_cell_means(rows):
+    succ_steps = [r.env_steps for r in rows if r.success]
+    return {
+        "success": _reference_mean([1.0 if r.success else 0.0 for r in rows]),
+        "env_steps": _reference_mean(succ_steps),
+        "l2_mean": _reference_mean([r.l2_mean for r in rows]),
+        "l2_max": _reference_mean([r.l2_max for r in rows]),
+        "max_acc": _reference_mean([r.max_acc for r in rows]),
+        "max_jerk": _reference_mean([r.max_jerk for r in rows]),
+    }
+
+
+def _reference_cells(rows):
+    groups = {}
+    for r in rows:
+        groups.setdefault((r.method, r.suite, r.delay), []).append(r)
+    return {key: _reference_cell_means(group) for key, group in groups.items()}
+
+
+def _reference_combine(cells, variant_weights):
+    out = {}
+    for metric in ALL_METRICS:
+        pairs = [
+            (variant_weights[s], cells[s][metric])
+            for s in sorted(cells)
+            if not math.isnan(cells[s][metric])
+        ]
+        out[metric] = aggregate_weighted(pairs) if pairs else math.nan
+    return out
+
+
+def _reference_clean(block):
+    return {metric: None if math.isnan(value) else value for metric, value in block.items()}
+
+
+def reference_summarize(rows, variant_weights):
+    methods = sorted({r.method for r in rows})
+    agg_delays = sorted({r.delay for r in rows if r.delay != 0})
+    suites = sorted({r.suite for r in rows})
+    summary = {
+        "aggregated_delays": agg_delays,
+        "suite_weights": {s: int(variant_weights[s]) for s in suites},
+        "methods": {},
+        "worst_case": {},
+        "per_delay": {},
+    }
+    table = _reference_cells(rows)
+    for method in methods:
+        by_delay = {
+            d: {s: table[(method, s, d)] for s in suites if (method, s, d) in table}
+            for d in agg_delays
+        }
+        per_suite = {}
+        for s in suites:
+            delay_cells = [cells[s] for cells in by_delay.values() if s in cells]
+            per_suite[s] = {
+                metric: _reference_mean(
+                    [c[metric] for c in delay_cells if not math.isnan(c[metric])]
+                )
+                for metric in ALL_METRICS
+            }
+        combined = _reference_combine(per_suite, variant_weights)
+        summary["methods"][method] = _reference_clean(combined)
+        worst = {}
+        for metric in SMOOTHNESS_METRICS:
+            vals = [c[metric] for c in per_suite.values() if not math.isnan(c[metric])]
+            worst[f"worst_{metric}"] = worst_case(vals) if vals else None
+        summary["worst_case"][method] = worst
+        summary["per_delay"][method] = {
+            str(d): _reference_clean(_reference_combine(cells, variant_weights))
+            for d, cells in by_delay.items()
+        }
+    if "rtc" in summary["methods"]:
+        deltas = {}
+        rtc_block = summary["methods"]["rtc"]
+        for method in methods:
+            if method == "rtc":
+                continue
+            block = {}
+            for metric in ALL_METRICS:
+                base, val = rtc_block[metric], summary["methods"][method][metric]
+                if base in (None, 0) or val is None:
+                    block[metric] = None
+                else:
+                    block[metric] = 100.0 * (val - base) / base
+            deltas[method] = block
+        summary["vs_rtc"] = deltas
+    return summary
+
+
+@st.composite
+def row_sets(draw):
+    """Shuffled rows of 1-4 methods, delays 0-9 with gaps and 1-9 suites, and suite weights.
+
+    About one cell in seven is missing, cells hold 1-300 rows, and a cell's
+    success rate is 0, 0.5 or 0.95, so some cells have no successes.
+    """
+    methods = draw(st.lists(st.sampled_from(("naive", "pc", "potr", "rtc")),
+                            min_size=1, max_size=4, unique=True))
+    delays = draw(st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True))
+    suites = [f"suite{i}" for i in range(draw(st.integers(1, 9)))]
+    weights = {s: draw(st.integers(1, 20)) for s in suites}
+    most = draw(st.sampled_from([1, 3, 30, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for method, suite, delay in itertools.product(methods, suites, delays):
+        if rng.random() < 0.15:
+            continue
+        n = int(rng.integers(1, most + 1))
+        success = rng.random(n) < rng.choice([0.0, 0.5, 0.95])
+        scale = 10.0 ** rng.uniform(-3, 3)
+        l2_mean = scale * rng.lognormal(0.0, 1.0, n)
+        l2_max = l2_mean * (1.0 + rng.exponential(1.0, n))
+        acc = scale * rng.gamma(2.0, 1.0, n)
+        jerk = acc * (1.0 + rng.exponential(1.0, n))
+        steps = rng.integers(1, 200, n)
+        rows += [
+            ResultRow(method, delay, suite, i, *values)
+            for i, values in enumerate(zip(success.tolist(), steps.tolist(), l2_mean.tolist(),
+                                           l2_max.tolist(), acc.tolist(), jerk.tolist()))
+        ]
+    assume(rows)
+    return [rows[i] for i in rng.permutation(len(rows))], weights
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, list):
+        yield from obj
+    else:
+        yield obj
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row_sets())
+def test_summarize_equals_list_reference(case):
+    rows, weights = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "no rtc rows", UserWarning)
+        got = summarize(rows, weights)
+        want = reference_summarize(rows, weights)
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert {type(v) for v in _leaves(got)} <= {float, int, type(None)}
+    assert all(type(v) in (float, type(None)) for v in _leaves(got["methods"]))
