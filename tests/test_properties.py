@@ -1,4 +1,4 @@
-"""Property-based tests (Hypothesis) for the invariants the sampler relies on."""
+"""Property-based tests (Hypothesis) for the invariants the sampler and the summary rely on."""
 
 import itertools
 import json
