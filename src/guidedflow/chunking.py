@@ -28,7 +28,6 @@ from .guidance import GuidanceConfig, GuidanceMethod, InpaintTarget, guided_deno
 __all__ = [
     "BoundaryEvent",
     "PendingRequest",
-    "RequestRecord",
     "ChunkScheduleState",
     "EpisodeTrace",
     "ChunkExecutor",
@@ -97,15 +96,6 @@ class PendingRequest:
 
 
 @dataclass
-class RequestRecord:
-    """Optional trace entry: what a request asked for and what came back."""
-
-    issued_at: int
-    inpaint: InpaintTarget
-    chunk: np.ndarray
-
-
-@dataclass
 class ChunkScheduleState:
     """Rolling execution state of the chunk schedule."""
 
@@ -143,15 +133,12 @@ class ChunkExecutor:
         replan_every: Optional[int] = None,
         mask_decay: float = DEFAULT_MASK_DECAY,
         rng: Optional[np.random.Generator] = None,
-        record_requests: bool = False,
     ):
         self.env = env
         self.field = field
         self.config = config
         self.delay = int(delay)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.record_requests = record_requests
-        self.requests: list[RequestRecord] = []
         self.horizon = int(horizon)
         if not (0 <= self.delay < self.horizon):
             raise StructuralError(
@@ -181,7 +168,6 @@ class ChunkExecutor:
         self.state = ChunkScheduleState(active_chunk=first, exec_index=0, pending=None)
         self._last_action = None
         self._actions = []
-        self.requests = []
 
     def step(self) -> tuple[np.ndarray, Optional[BoundaryEvent]]:
         """Execute one environment step; returns (action, boundary event or None)."""
@@ -246,8 +232,6 @@ class ChunkExecutor:
         st = self.state
         req = st.pending
         chunk = guided_denoise(req.noise, req.observation, self.field, req.inpaint, self.config)
-        if self.record_requests:
-            self.requests.append(RequestRecord(req.issued_at, req.inpaint, chunk))
         st.active_chunk = chunk
         st.exec_index = self.delay
         st.pending = None

@@ -82,6 +82,12 @@ class PointMassEnv:
         self.goal_tolerance = float(goal_tolerance)
         self.dynamics_gain = float(dynamics_gain)
         self.action_noise_std = float(action_noise_std)
+        if self.max_steps < 1:
+            raise StructuralError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not (0.0 < self.goal_tolerance < math.inf):
+            raise StructuralError("goal_tolerance must be positive and finite")
+        if not (0.0 <= self.action_noise_std < math.inf):
+            raise StructuralError("action_noise_std must be finite and >= 0")
         self.rng = rng if rng is not None else np.random.default_rng()
         self.step_count = 0
         self.success = False
@@ -232,12 +238,11 @@ class ConditionalGMField(GaussianMixtureField):
         return self._cached_params
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskVariant:
     """One benchmark task family; plays the role of a suite in aggregation."""
 
     name: str
-    weight: int = 1
     modes: int = 1
     start: tuple = (-1.0, 0.0)
     goal: tuple = (0.75, 0.0)
@@ -252,46 +257,23 @@ def default_variants() -> list[TaskVariant]:
     action space (mode commitment then happens mid-denoising rather than in
     the first solver steps) and sits just short of the goal, so consecutive
     chunks keep re-deciding the homotopy class for essentially the whole
-    episode while the previous chunk's tail still carries it.  The heavier
-    weight on the bimodal variant mirrors a task-count imbalance between a
-    small easy suite and a large diverse one.
+    episode while the previous chunk's tail still carries it.
     """
     return [
-        TaskVariant(name="unimodal", modes=1, weight=1),
-        TaskVariant(
-            name="bimodal",
-            modes=2,
-            weight=9,
-            obstacle_center=(0.7, 0.0),
-            obstacle_radius=0.09,
-        ),
+        TaskVariant(name="unimodal", modes=1),
+        TaskVariant(name="bimodal", modes=2, obstacle_center=(0.7, 0.0), obstacle_radius=0.09),
     ]
 
 
-def make_env(
-    variant: TaskVariant,
-    rng: np.random.Generator,
-    max_steps: int = 60,
-    goal_tolerance: float = 0.15,
-    dynamics_gain: float = 0.1,
-    action_noise_std: float = 0.02,
-) -> PointMassEnv:
+def make_env(variant: TaskVariant, rng: Optional[np.random.Generator], **env) -> PointMassEnv:
+    """The variant's environment; ``env`` holds further PointMassEnv settings."""
     obstacle = None
     if variant.obstacle_center is not None:
         obstacle = Obstacle(
             center=np.asarray(variant.obstacle_center, dtype=float),
             radius=variant.obstacle_radius,
         )
-    return PointMassEnv(
-        start=variant.start,
-        goal=variant.goal,
-        obstacle=obstacle,
-        max_steps=max_steps,
-        goal_tolerance=goal_tolerance,
-        dynamics_gain=dynamics_gain,
-        action_noise_std=action_noise_std,
-        rng=rng,
-    )
+    return PointMassEnv(variant.start, variant.goal, obstacle, rng=rng, **env)
 
 
 def make_field(variant: TaskVariant, **oracle) -> ConditionalGMField:

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
@@ -30,7 +30,7 @@ from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask
 from .envs import ConditionalGMField, OraclePolicyParams, TaskVariant, default_variants, make_env
 from .errors import ConfigError, StructuralError
 from .guidance import GuidanceConfig, GuidanceMethod
-from .metrics import episode_metrics
+from .metrics import EpisodeMetrics, episode_metrics
 
 __all__ = [
     "ExperimentConfig",
@@ -59,10 +59,25 @@ DEFAULT_RHO_GRID = (0.10, 0.25, 0.50, 0.75, 1.00)
 _METHOD_NAMES = tuple(m.value for m in GuidanceMethod)
 _VARIANT_REGISTRY = {v.name: v for v in default_variants()}
 
-SMOOTHNESS_METRICS = ("l2_mean", "l2_max", "max_acc", "max_jerk")
-ALL_METRICS = ("success", "env_steps") + SMOOTHNESS_METRICS
+ALL_METRICS = tuple(f.name for f in fields(EpisodeMetrics))
+SMOOTHNESS_METRICS = ALL_METRICS[2:]  # all but success and env_steps
 _WORST_NAMES = [f"worst_{metric}" for metric in SMOOTHNESS_METRICS]
 _CELL_KEY = attrgetter("method", "suite", "delay")
+
+
+def _suite_weights(suites: Sequence[str], variant_weights: dict) -> list[int]:
+    """Each suite's weight; ConfigError naming the suite unless it is an integer >= 1."""
+    for s in suites:
+        if s not in variant_weights:
+            raise ConfigError(f"no weight given for suite {s!r}")
+        w = variant_weights[s]
+        try:
+            ok = w >= 1 and w == int(w)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"suite {s!r} has a non-integer weight or one below 1: {w!r}")
+    return [int(variant_weights[s]) for s in suites]
 
 
 @dataclass
@@ -90,6 +105,8 @@ class ExperimentConfig:
     sigma_cond: float = 0.4
     ctrl_frac: float = 0.35
     clearance: float = 0.04
+    # (suite name, weight) pairs.  The heavier weight on the bimodal variant mirrors a
+    # task-count imbalance between a small easy suite and a large diverse one.
     variants: tuple[tuple[str, int], ...] = (("unimodal", 1), ("bimodal", 9))
     output_dir: str = "results"
     overrun_fail_fraction: float = 0.25
@@ -112,24 +129,23 @@ class ExperimentConfig:
         if len(self.variants) == 0:
             raise ConfigError("at least one variant is required")
         names = [v[0] for v in self.variants]
-        if len(set(names)) != len(names):
-            raise ConfigError("variant names must be unique")
-        for name, weight in self.variants:
+        listed = {"methods": self.methods, "delays": self.delays, "variant names": names}
+        for what, values in listed.items():
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{what} must be unique")
+        for name in names:
             if name not in _VARIANT_REGISTRY:
                 raise ConfigError(
                     f"unknown variant {name!r}; choose from {sorted(_VARIANT_REGISTRY)}"
                 )
-            try:
-                weight = int(weight)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"variant {name!r} has non-integer weight {weight!r}") from err
-            if weight < 1:
-                raise ConfigError("variant weights must be >= 1")
-        self.variants = tuple((str(n), int(w)) for n, w in self.variants)
+        self.variants = tuple(zip(names, _suite_weights(names, dict(self.variants))))
+        if not (0.0 <= self.overrun_fail_fraction <= 1.0):
+            raise ConfigError("overrun_fail_fraction must lie in [0, 1]")
         # Fail here, before any output exists, rather than in the first episode.
         try:
             self.guidance_for(self.methods[0])
-            self.oracle_for(_VARIANT_REGISTRY[self.variants[0][0]])
+            self.oracle_for(_VARIANT_REGISTRY[names[0]])
+            self.env_for(_VARIANT_REGISTRY[names[0]], None)
             build_soft_mask(self.horizon, 0, 1, self.mask_decay)
         except StructuralError as err:
             raise ConfigError(str(err)) from err
@@ -159,12 +175,18 @@ class ExperimentConfig:
             clearance=self.clearance,
         )
 
+    def env_for(self, variant: TaskVariant, rng: Optional[np.random.Generator]):
+        return make_env(
+            variant,
+            rng,
+            max_steps=self.max_steps,
+            goal_tolerance=self.goal_tolerance,
+            dynamics_gain=self.dynamics_gain,
+            action_noise_std=self.action_noise_std,
+        )
+
     def variant_objects(self) -> list[tuple[TaskVariant, int]]:
-        out = []
-        for name, weight in self.variants:
-            base = _VARIANT_REGISTRY[name]
-            out.append((replace(base, weight=weight), weight))
-        return out
+        return [(_VARIANT_REGISTRY[name], weight) for name, weight in self.variants]
 
 
 @dataclass
@@ -179,12 +201,6 @@ class ResultRow:
     l2_max: float
     max_acc: float
     max_jerk: float
-
-    @property
-    def excluded_from_aggregate(self) -> bool:
-        # Delay 0 has no intra-chunk switching; its L2 numbers are recorded
-        # but never aggregated.
-        return self.delay == 0
 
     def sort_key(self):
         return (self.method, self.delay, self.suite, self.seed)
@@ -202,6 +218,10 @@ _ROW_FIELD_TYPES = {
 _ROW_FIELDS = {name: _ROW_FIELD_TYPES[hint] for name, hint in get_type_hints(ResultRow).items()}
 _ROW_FIELDS["method"] = ({m: m for m in _METHOD_NAMES}.__getitem__, None, f"one of {_METHOD_NAMES}")
 ROW_HEADER = list(_ROW_FIELDS)
+# How write_rows formats a field of a type listed here before the csv writer writes it
+# with str, which for a float is its shortest repr, the text float() reads back exactly.
+_ROW_FIELD_FORMATS = {bool: int}
+_ROW_FORMATS = [_ROW_FIELD_FORMATS.get(hint) for hint in get_type_hints(ResultRow).values()]
 
 
 @dataclass
@@ -233,16 +253,8 @@ def run_cell_episode(
 ):
     """Run one episode of one cell; returns (ResultRow, EpisodeTrace)."""
     env_rng, noise_rng = _episode_seeds(config, delay, variant_index, episode)
-    env = make_env(
-        variant,
-        rng=env_rng,
-        max_steps=config.max_steps,
-        goal_tolerance=config.goal_tolerance,
-        dynamics_gain=config.dynamics_gain,
-        action_noise_std=config.action_noise_std,
-    )
     executor = ChunkExecutor(
-        env,
+        config.env_for(variant, env_rng),
         ConditionalGMField(config.oracle_for(variant)),
         config.guidance_for(method),
         delay=delay,
@@ -252,19 +264,7 @@ def run_cell_episode(
         rng=noise_rng,
     )
     trace = executor.run()
-    m = episode_metrics(trace)
-    row = ResultRow(
-        method=method,
-        delay=delay,
-        suite=variant.name,
-        seed=episode,
-        success=m.success,
-        env_steps=m.env_steps,
-        l2_mean=m.l2_mean,
-        l2_max=m.l2_max,
-        max_acc=m.max_acc,
-        max_jerk=m.max_jerk,
-    )
+    row = ResultRow(method, delay, variant.name, episode, **vars(episode_metrics(trace)))
     return row, trace
 
 
@@ -306,21 +306,6 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
         write_rows(rows, rows_path)
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return SweepResult(rows, summary, overruns, rows_path, summary_path)
-
-
-def _suite_weights(suites: Sequence[str], variant_weights: dict) -> list[int]:
-    """Each suite's weight; ConfigError naming the suite unless it is an integer >= 1."""
-    for s in suites:
-        if s not in variant_weights:
-            raise ConfigError(f"no weight given for suite {s!r}")
-        w = variant_weights[s]
-        try:
-            ok = w >= 1 and w == int(w)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"suite {s!r} has weight {w!r}; weights must be integers >= 1")
-    return [int(variant_weights[s]) for s in suites]
 
 
 def _cell_cube(rows: Sequence[ResultRow], variant_weights: dict):
@@ -444,7 +429,7 @@ def _grid_search(
         # The header names the parameter, then ALL_METRICS in order.
         table.append(dict(zip(header, [float(value)] + agg.tolist())))
     if path is not None:
-        _write_table(table, header, path)
+        _write_csv(path, header, (map(repr, row.values()) for row in table))
     return table
 
 
@@ -470,36 +455,21 @@ def grid_search_rho(
     return _grid_search(config, "rho", grid, "potr", delay, RHO_GRID_HEADER, path)
 
 
-def _write_table(table: list[dict], header: list[str], path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in table:
-            writer.writerow([repr(float(row[h])) for h in header])
-
-
-def write_rows(rows: Sequence[ResultRow], path) -> None:
+def _write_csv(path, header: list[str], records) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(ROW_HEADER)
-        for r in sorted(rows, key=ResultRow.sort_key):
-            writer.writerow(
-                [
-                    r.method,
-                    r.delay,
-                    r.suite,
-                    r.seed,
-                    int(r.success),
-                    r.env_steps,
-                    repr(r.l2_mean),
-                    repr(r.l2_max),
-                    repr(r.max_acc),
-                    repr(r.max_jerk),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(records)
+
+
+def write_rows(rows: Sequence[ResultRow], path) -> None:
+    """One record per row in ``sort_key`` order, each field written as its type says."""
+    rows = sorted(rows, key=ResultRow.sort_key)
+    columns = [map(attrgetter(name), rows) for name in ROW_HEADER]
+    columns = [c if fmt is None else map(fmt, c) for fmt, c in zip(_ROW_FORMATS, columns)]
+    _write_csv(path, ROW_HEADER, zip(*columns))
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -579,22 +549,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise ConfigError(f"cannot parse integer list from {text!r}") from err
 
 
-def _parse_variants(text: str) -> tuple[tuple[str, int], ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            name, weight = tok.split(":", 1)
-            try:
-                weight = int(weight)
-            except ValueError as err:
-                raise ConfigError(f"cannot parse variant weight from {tok!r}") from err
-            out.append((name.strip(), weight))
-        else:
-            out.append((tok, 1))
-    return tuple(out)
+def _parse_variants(text: str) -> tuple[tuple[str, float], ...]:
+    """name[:weight] pairs, weight 1 by default; ExperimentConfig checks each weight."""
+    pairs = (tok.split(":", 1) if ":" in tok else (tok, "1") for tok in _parse_strs(text))
+    return tuple((name.strip(), _parse_float(weight)) for name, weight in pairs)
 
 
 def _parse_float(text: str) -> float:

@@ -22,7 +22,7 @@ from .flow import (
     pullback_through_estimate,
 )
 from .guidance import GuidanceConfig, guided_denoise, otr_project, pc_weight, r_tau_sq, rtc_weight
-from .harness import ExperimentConfig, run_cell_episode
+from .harness import ExperimentConfig, ResultRow, run_cell_episode, summarize
 from .metrics import aggregate_weighted, worst_case
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
@@ -272,19 +272,36 @@ def check_velocity_mc_oracle(
 
 
 def check_aggregation_crosscheck() -> CheckResult:
-    """Episode-weighted aggregation and worst-case reduction on the fixture."""
+    """Episode-weighted aggregation and worst-case reduction on the fixture.
+
+    Each method's per-suite success means and each suite's max_jerk are also
+    laid out as 500 delay-1 rows per (method, suite) and summarized, so the
+    code that writes summary.json must reproduce the same totals.
+    """
     weights = AGGREGATION_FIXTURE["weights"]
-    for method in ("naive", "rtc", "potr"):
+    jerks, worst = WORST_CASE_FIXTURE
+    suites = [f"suite{i}" for i in range(len(weights))]
+    methods = ("naive", "rtc", "potr")
+    rows = [
+        ResultRow(method, 1, suite, i, i < round(500 * value), 30, 0.0, 0.0, 0.0, jerk)
+        for method in methods
+        for suite, value, jerk in zip(suites, AGGREGATION_FIXTURE[method][0], jerks)
+        for i in range(500)
+    ]
+    summary = summarize(rows, dict(zip(suites, weights)))
+    for method in methods:
         values, expected = AGGREGATION_FIXTURE[method]
         got = aggregate_weighted(list(zip(weights, values)))
-        if abs(got - expected) > 0.005:
-            return CheckResult(
-                "aggregation-crosscheck", False, f"{method}: {got:.4f} != {expected}"
-            )
-    values, expected = WORST_CASE_FIXTURE
-    if abs(worst_case(values) - expected) > 1e-12:
+        summarized = summary["methods"][method]["success"]
+        if max(abs(got - expected), abs(summarized - expected)) > 0.005:
+            detail = f"{method}: {got:.4f} directly, {summarized:.4f} by summarize, not {expected}"
+            return CheckResult("aggregation-crosscheck", False, detail)
+        if abs(summary["worst_case"][method]["worst_max_jerk"] - worst) > 1e-12:
+            return CheckResult("aggregation-crosscheck", False, f"{method}: summarize worst case")
+    if abs(worst_case(jerks) - worst) > 1e-12:
         return CheckResult("aggregation-crosscheck", False, "worst-case reduction mismatch")
-    return CheckResult("aggregation-crosscheck", True, "3 weighted means + worst case reproduced")
+    detail = "3 weighted means + worst case reproduced, directly and by summarize"
+    return CheckResult("aggregation-crosscheck", True, detail)
 
 
 def _equivalence_config(**kwargs) -> ExperimentConfig:

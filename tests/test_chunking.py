@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from guidedflow import chunking
 from guidedflow.chunking import (
     ChunkExecutor,
     build_inpaint_target,
@@ -12,7 +13,7 @@ from guidedflow.guidance import GuidanceConfig
 
 
 def run_executor(method, delay, *, seed=0, variant=None, max_steps=60, replan_every=None,
-                 record_requests=False, mask_decay=None, tol=0.15):
+                 mask_decay=None, tol=0.15):
     variant = variant or default_variants()[1]
     env = make_env(variant, rng=np.random.default_rng(seed), max_steps=max_steps,
                    goal_tolerance=tol)
@@ -26,10 +27,23 @@ def run_executor(method, delay, *, seed=0, variant=None, max_steps=60, replan_ev
         horizon=10,
         replan_every=replan_every,
         rng=np.random.default_rng(seed + 1),
-        record_requests=record_requests,
         **kwargs,
     )
     return ex
+
+
+def record_requests(monkeypatch) -> list:
+    """(inpaint, chunk) of every guided regeneration executors make from now on."""
+    records, denoise = [], chunking.guided_denoise
+
+    def recording(noise, obs, field, inpaint, config):
+        chunk = denoise(noise, obs, field, inpaint, config)
+        if inpaint is not None:  # reset()'s unguided first chunk is not a request
+            records.append((inpaint, chunk))
+        return chunk
+
+    monkeypatch.setattr(chunking, "guided_denoise", recording)
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +162,18 @@ def test_full_horizon_replan_masks_guidance_entirely():
         assert np.array_equal(traces[0].actions, t.actions)
 
 
-def test_hard_frozen_continuity_beats_naive():
+def test_hard_frozen_continuity_beats_naive(monkeypatch):
     # With beta = n = 10 and d >= 1, the regenerated chunk matches the
     # hard-frozen target rows much better under guidance than without.
     d = 3
     hard = min(d, 10 - d)
+    requests = record_requests(monkeypatch)
 
     def mean_prefix_error(method):
-        errs = []
+        requests.clear()
         for seed in range(100):
-            ex = run_executor(method, d, seed=seed, max_steps=24, record_requests=True)
-            ex.run()
-            for req in ex.requests:
-                errs.append(
-                    np.linalg.norm(req.chunk[:hard] - req.inpaint.target[:hard])
-                )
+            run_executor(method, d, seed=seed, max_steps=24).run()
+        errs = [np.linalg.norm(chunk[:hard] - inpaint.target[:hard]) for inpaint, chunk in requests]
         return float(np.mean(errs))
 
     naive_err = mean_prefix_error("naive")
@@ -197,14 +208,15 @@ def test_executor_rejects_mask_decay_at_construction(decay):
         run_executor("potr", 2, mask_decay=decay)
 
 
-def test_executor_shares_one_read_only_mask():
-    ex = run_executor("potr", 2, mask_decay=0.5, record_requests=True)
+def test_executor_shares_one_read_only_mask(monkeypatch):
+    requests = record_requests(monkeypatch)
+    ex = run_executor("potr", 2, mask_decay=0.5)
     assert np.array_equal(ex.mask, build_soft_mask(10, 2, 2, 0.5))
     with pytest.raises(ValueError):
         ex.mask[0] = 0.0
     ex.run()
-    assert len(ex.requests) > 1
-    assert all(r.inpaint.mask is ex.mask for r in ex.requests)
+    assert len(requests) > 1
+    assert all(inpaint.mask is ex.mask for inpaint, _ in requests)
 
 
 def test_pending_request_freezes_observation():

@@ -67,6 +67,9 @@ def test_config_error_exit_code(tmp_path):
         "sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1",
         "variants = unimodal:x", "delays =",
         "sigma_cond = -1", "sigma_cond = nan", "ctrl_frac = 2",
+        "action_noise_std = -1", "action_noise_std = nan", "max_steps = 0", "max_steps = -5",
+        "goal_tolerance = nan", "goal_tolerance = -1", "overrun_fail_fraction = nan",
+        "methods = potr,potr", "delays = 1,1", "variants = unimodal:9.7",
     ],
 )
 def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):

@@ -69,7 +69,7 @@ def test_sweep_single_cell_row_flags(tmp_path):
     result = run_sweep(config, write=False)
     assert len(result.rows) == 1
     row = result.rows[0]
-    assert row.excluded_from_aggregate  # delay 0 never enters aggregates
+    assert result.summary["aggregated_delays"] == []  # delay 0 never enters aggregates
     assert row.l2_mean >= 0.0 and row.l2_max >= row.l2_mean
 
 
@@ -339,6 +339,12 @@ def test_config_validation_errors():
         ExperimentConfig(variants=(), output_dir="x")
     with pytest.raises(ConfigError, match="beta"):
         ExperimentConfig(beta=-1.0, output_dir="x")
+
+
+@pytest.mark.parametrize("weight", [9.7, float("nan"), float("inf")])
+def test_config_rejects_variant_weight_that_is_not_an_integer(weight):
+    with pytest.raises(ConfigError, match="'bimodal'"):
+        ExperimentConfig(variants=(("bimodal", weight),), output_dir="x")
 
 
 def test_config_file_parsing(tmp_path):

@@ -4,7 +4,10 @@ import itertools
 import json
 import math
 import re
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,14 @@ from guidedflow.flow import (
     gm_velocity,
 )
 from guidedflow.guidance import GuidanceConfig, InpaintTarget, guided_denoise, otr_project
-from guidedflow.harness import ALL_METRICS, SMOOTHNESS_METRICS, ResultRow, summarize
+from guidedflow.harness import (
+    ALL_METRICS,
+    SMOOTHNESS_METRICS,
+    ResultRow,
+    read_rows,
+    summarize,
+    write_rows,
+)
 from guidedflow.metrics import aggregate_weighted, worst_case
 
 # Derandomized, so a tier-1 run is reproducible; widen max_examples to search.
@@ -492,3 +502,39 @@ def test_summarize_equals_list_reference(case):
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert {type(v) for v in _leaves(got)} <= {float, int, type(None)}
     assert all(type(v) in (float, type(None)) for v in _leaves(got["methods"]))
+
+
+# ---------------------------------------------------------------------------
+# the row file round-trips every row read_rows accepts
+
+
+def finite_floats():
+    extremes = st.sampled_from([-0.0, 5e-324, sys.float_info.max, -sys.float_info.max])
+    return st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
+
+
+ROW_STRATEGY = st.builds(
+    ResultRow,
+    method=st.sampled_from(("naive", "rtc", "pc", "potr")),
+    delay=st.integers(0, 2**40),
+    suite=st.text(st.sampled_from("ab9_,\"' \n\r"), max_size=8),
+    seed=st.integers(0, 2**40),
+    success=st.booleans(),
+    env_steps=st.integers(0, 2**40),
+    l2_mean=finite_floats(),
+    l2_max=finite_floats(),
+    max_acc=finite_floats(),
+    max_jerk=finite_floats(),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(ROW_STRATEGY, max_size=20))
+def test_row_file_round_trip(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.csv"), Path(tmp, "second.csv")
+        write_rows(rows, first)
+        back = read_rows(first)
+        write_rows(back, second)
+        assert back == sorted(rows, key=ResultRow.sort_key)
+        assert second.read_bytes() == first.read_bytes()
