@@ -140,18 +140,10 @@ class ChunkExecutor:
         self.delay = int(delay)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.horizon = int(horizon)
-        if not (0 <= self.delay < self.horizon):
-            raise StructuralError(
-                f"delay d={self.delay} must satisfy 0 <= d < H={self.horizon}"
-            )
         self.replan_every = (
             max(self.delay, 1) if replan_every is None else int(replan_every)
         )
-        if not (1 <= self.replan_every <= self.horizon):
-            raise StructuralError(
-                f"replan_every s={self.replan_every} must lie in [1, H={self.horizon}]"
-            )
-        # Every request shares this read-only soft mask.
+        # Every request shares this read-only soft mask; building it checks d and s.
         self.mask = build_soft_mask(self.horizon, self.delay, self.replan_every, mask_decay)
         self.mask.flags.writeable = False
         self.state: Optional[ChunkScheduleState] = None

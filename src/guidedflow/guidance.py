@@ -14,8 +14,9 @@ The weight keeps the data-prior scale sigma_d in the derivation:
     r^2(tau) = (1-tau)^2 sigma_d^2 / ((1-tau)^2 + sigma_d^2 tau^2)
     w_pc(tau) = min(((1-tau)^2 + sigma_d^2 tau^2) / (sigma_d^2 tau (1-tau)), beta)
 
-which boosts mid-trajectory correction when plausible chunks are tightly
-concentrated around the conditional mean (sigma_d < 1).  A larger weight
+with the clip beta = n, the number of solver steps.  The weight boosts
+mid-trajectory correction when plausible chunks are tightly concentrated
+around the conditional mean (sigma_d < 1).  A larger weight
 also amplifies the component of g transverse to the denoising velocity, so
 the full method (potr) additionally clips that component to a trust region
 of radius rho * ||v||, keeping the parallel component intact.
@@ -65,9 +66,12 @@ class GuidanceConfig:
     Immutable: construction resolves ``method`` once into ``guided`` (not
     naive), ``weight_sigma`` (1.0 for rtc, else sigma_d) and ``radius`` (rho
     for potr, else inf), so rtc is pc at sigma_d = 1 and pc is potr at
-    rho = inf by construction.  beta should normally equal
-    n_steps: the solver scales each correction by 1/n, so scaling the clip
-    with n keeps the effective correction strength resolution-independent.
+    rho = inf by construction.  The rest of the step is fixed by the
+    protocol.  The weight is clipped at beta = n_steps: the solver scales
+    each correction by 1/n, so a clip that grows with n keeps the effective
+    correction strength independent of the solver resolution.  Solver step 0
+    is always unguided, because the weight schedules diverge at tau = 0.  The
+    trust-region projection guards its division by ||v|| with 1e-8.
     The useful range of rho tracks the typical correction-to-velocity norm
     ratio of the deployment; the default suits the shipped benchmark, where
     the trust region should trim transverse spikes rather than bind on
@@ -77,27 +81,18 @@ class GuidanceConfig:
     method: GuidanceMethod = GuidanceMethod.POTR
     sigma_d: float = 0.4
     rho: float = 2.0
-    beta: float = 10.0
     n_steps: int = 10
-    epsilon: float = 1e-8
-    # The weight schedules diverge at tau = 0, so the first solver step is
-    # unguided by default; set True to apply the clipped weight w = beta there.
-    guide_first_step: bool = False
 
     def __post_init__(self) -> None:
         set_field = functools.partial(object.__setattr__, self)  # the instance is frozen
         set_field("method", GuidanceMethod(self.method))
-        if not (self.sigma_d > 0.0):
-            raise StructuralError(f"sigma_d must be positive, got {self.sigma_d}")
+        if not (0.0 < self.sigma_d < math.inf):
+            raise StructuralError(f"sigma_d must be positive and finite, got {self.sigma_d}")
         if not (self.rho > 0.0):
             raise StructuralError(f"rho must be positive (or inf), got {self.rho}")
         if int(self.n_steps) < 1:
             raise StructuralError(f"n_steps must be >= 1, got {self.n_steps}")
         set_field("n_steps", int(self.n_steps))
-        if not (self.beta > 0.0):
-            raise StructuralError(f"beta must be positive, got {self.beta}")
-        if not (0.0 < self.epsilon <= 1e-6):
-            raise StructuralError(f"epsilon must lie in (0, 1e-6], got {self.epsilon}")
         set_field("guided", self.method is not GuidanceMethod.NAIVE)
         set_field("weight_sigma", 1.0 if self.method is GuidanceMethod.RTC else self.sigma_d)
         set_field("radius", self.rho if self.method is GuidanceMethod.POTR else math.inf)
@@ -243,12 +238,12 @@ def guided_denoise(
     """Run the full guided Euler denoising loop and return the clean chunk.
 
     For k = 0 .. n-1 at tau = k/n: evaluate the velocity and take the Euler
-    step x + v / n.  Unless the method is NAIVE (or k = 0 with
-    guide_first_step unset, where the weight is undefined), the step instead
-    linearizes the field, so the velocity and its pullback come from one
-    evaluation; computes the pseudoinverse correction g, weights it by w_pc
-    at the config's ``weight_sigma``, trust-region-projects it at the
-    config's ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
+    step x + v / n.  Unless the method is NAIVE or k = 0 (where the weight
+    is undefined), the step instead linearizes the field, so the velocity
+    and its pullback come from one evaluation; computes the pseudoinverse
+    correction g, weights it by w_pc at the config's ``weight_sigma``
+    clipped at beta = n, trust-region-projects it at the config's
+    ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
     the identical loop with guidance short-circuited, so baselines are
     bit-comparable.  ``noise`` is validated once; a step velocity of the
     wrong shape raises StructuralError and a non-finite one NumericError,
@@ -264,15 +259,14 @@ def guided_denoise(
     n = config.n_steps
     for k in range(n):
         tau = k / n
-        if not config.guided or (k == 0 and not config.guide_first_step):
+        if not config.guided or k == 0:
             step_velocity = field.evaluate(x, tau, observation)
         else:
             velocity, pullback = field.linearize(x, tau, observation)
             try:
                 g = pseudoinverse_correction(x, tau, velocity, inpaint, pullback)
-                # The schedule diverges at tau = 0, where w takes its clipped value.
-                w = pc_weight(tau, config.weight_sigma, config.beta) if k else config.beta
-                g_final = otr_project(w * g, velocity, config.radius, config.epsilon)
+                w = pc_weight(tau, config.weight_sigma, float(n))
+                g_final = otr_project(w * g, velocity, config.radius)
             except (StructuralError, DomainError, NumericError) as err:
                 raise type(err)(f"denoising step {k}: {err}") from err
             step_velocity = velocity + g_final

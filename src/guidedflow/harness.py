@@ -91,10 +91,7 @@ class ExperimentConfig:
     # guidance
     sigma_d: float = 0.4
     rho: float = 2.0
-    beta: Optional[float] = None  # None -> n_steps, the protocol's beta = n rule
     n_steps: int = 10
-    epsilon: float = 1e-8
-    guide_first_step: bool = False
     mask_decay: float = DEFAULT_MASK_DECAY
     # environment and oracle policy
     horizon: int = 10
@@ -126,6 +123,8 @@ class ExperimentConfig:
                 raise ConfigError(f"delay {d} must satisfy 0 <= d < horizon={self.horizon}")
         if self.episodes_per_cell < 1:
             raise ConfigError("episodes_per_cell must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
         if len(self.variants) == 0:
             raise ConfigError("at least one variant is required")
         names = [v[0] for v in self.variants]
@@ -150,19 +149,12 @@ class ExperimentConfig:
         except StructuralError as err:
             raise ConfigError(str(err)) from err
 
-    @property
-    def resolved_beta(self) -> float:
-        return float(self.n_steps) if self.beta is None else float(self.beta)
-
     def guidance_for(self, method: str) -> GuidanceConfig:
         return GuidanceConfig(
             method=GuidanceMethod(method),
             sigma_d=self.sigma_d,
             rho=self.rho,
-            beta=self.resolved_beta,
             n_steps=self.n_steps,
-            epsilon=self.epsilon,
-            guide_first_step=self.guide_first_step,
         )
 
     def oracle_for(self, variant: TaskVariant) -> OraclePolicyParams:
@@ -529,15 +521,6 @@ def _malformed_record(path) -> ConfigError:
 # Plain-text key=value configuration files
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
-
-
 def _parse_strs(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
@@ -562,12 +545,6 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"cannot parse float from {text!r}") from err
 
 
-def _parse_optional_float(text: str) -> Optional[float]:
-    if text.strip().lower() in ("none", ""):
-        return None
-    return _parse_float(text)
-
-
 def _parse_int(text: str) -> int:
     try:
         return int(text)
@@ -579,8 +556,6 @@ def _parse_int(text: str) -> int:
 _TYPE_PARSERS = {
     int: _parse_int,
     float: _parse_float,
-    Optional[float]: _parse_optional_float,
-    bool: _parse_bool,
     str: str,
     tuple[int, ...]: _parse_ints,
     tuple[str, ...]: _parse_strs,

@@ -201,7 +201,7 @@ def check_euler_convergence() -> CheckResult:
     steps = [10, 20, 40, 80]
     field = GaussianMixtureField(params)
     for n in steps:
-        naive = GuidanceConfig(method="naive", n_steps=n, beta=n)
+        naive = GuidanceConfig(method="naive", n_steps=n)
         x1 = guided_denoise(x0, None, field, None, naive)
         errors.append(float(np.linalg.norm(x1 - exact)))
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])

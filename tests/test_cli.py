@@ -59,6 +59,9 @@ def test_config_error_exit_code(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "missing.cfg")]) == 1
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--methods", "bogus"]) == 1
+    assert main(["sweep", "--config", str(cfg), "--seed-base", "-1"]) == 1
+    assert main(["grid-sigma", "--config", str(cfg), "--grid", "inf"]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -70,6 +73,8 @@ def test_config_error_exit_code(tmp_path):
         "action_noise_std = -1", "action_noise_std = nan", "max_steps = 0", "max_steps = -5",
         "goal_tolerance = nan", "goal_tolerance = -1", "overrun_fail_fraction = nan",
         "methods = potr,potr", "delays = 1,1", "variants = unimodal:9.7",
+        "seed_base = -1", "sigma_d = inf",
+        "beta = 10", "epsilon = 1e-08", "guide_first_step = false",
     ],
 )
 def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):

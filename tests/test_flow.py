@@ -78,7 +78,7 @@ class RecordingField(VelocityField):
 
 
 def naive(n):
-    return GuidanceConfig(method="naive", n_steps=n, beta=n)
+    return GuidanceConfig(method="naive", n_steps=n)
 
 
 def test_euler_step_zero_velocity_only_advances_time():

@@ -5,7 +5,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from guidedflow import guidance
+from guidedflow.envs import Observation, default_variants, make_field
 from guidedflow.errors import ConfigError
+from guidedflow.guidance import InpaintTarget, guided_denoise
 from guidedflow.harness import (
     DEFAULT_RHO_GRID,
     DEFAULT_SIGMA_GRID,
@@ -314,10 +317,29 @@ def test_empty_grid_rejected(tmp_path):
 # configuration
 
 
-def test_config_defaults_resolve_beta_to_n():
-    config = ExperimentConfig(output_dir="unused")
-    assert config.beta is None and config.resolved_beta == float(config.n_steps)
-    assert config.guidance_for("potr").beta == 10.0
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_guided_step_clips_weight_at_n_and_leaves_step_zero_unguided(monkeypatch, n):
+    calls = []
+    weight = guidance.pc_weight
+    def recording_weight(tau, sigma_d, beta):
+        calls.append((tau, beta))
+        return weight(tau, sigma_d, beta)
+
+    monkeypatch.setattr(guidance, "pc_weight", recording_weight)
+    config = ExperimentConfig(n_steps=n, output_dir="unused").guidance_for("potr")
+    field = make_field(default_variants()[0])
+    linearized = []
+    linearize = field.linearize
+    monkeypatch.setattr(
+        field, "linearize", lambda x, tau, obs: linearized.append(tau) or linearize(x, tau, obs)
+    )
+    obs = Observation(position=np.array([-1.0, 0.0]), goal=np.array([0.75, 0.0]))
+    rng = np.random.default_rng(3)
+    spec = InpaintTarget(rng.standard_normal((10, 2)), np.linspace(1.0, 0.0, 10))
+    guided_denoise(rng.standard_normal((10, 2)), obs, field, spec, config)
+    # Only the guided steps linearize, and each asks for its weight once.
+    assert linearized == [tau for tau, _ in calls] == [k / n for k in range(1, n)]
+    assert all(type(beta) is float and beta == float(n) for _, beta in calls)
 
 
 def test_config_validation_errors():
@@ -337,8 +359,8 @@ def test_config_validation_errors():
         ExperimentConfig(delays=(), output_dir="x")
     with pytest.raises(ConfigError):
         ExperimentConfig(variants=(), output_dir="x")
-    with pytest.raises(ConfigError, match="beta"):
-        ExperimentConfig(beta=-1.0, output_dir="x")
+    with pytest.raises(ConfigError, match="seed_base"):
+        ExperimentConfig(seed_base=-1, output_dir="x")
 
 
 @pytest.mark.parametrize("weight", [9.7, float("nan"), float("inf")])
@@ -356,11 +378,9 @@ episodes_per_cell = 7
 seed_base = 11
 sigma_d = 0.3
 rho = inf
-beta = none
 mask_decay = 0.4
 variants = unimodal:1, bimodal:9
 output_dir = results/run1
-guide_first_step = true
 """
     path = tmp_path / "bench.cfg"
     path.write_text(text)
@@ -369,9 +389,8 @@ guide_first_step = true
     assert config.delays == (0, 1, 2)
     assert config.episodes_per_cell == 7 and config.seed_base == 11
     assert config.sigma_d == 0.3 and math.isinf(config.rho)
-    assert config.beta is None and config.mask_decay == 0.4
+    assert config.mask_decay == 0.4
     assert config.variants == (("unimodal", 1), ("bimodal", 9))
-    assert config.guide_first_step is True
 
 
 def _config_text(value) -> str:
@@ -379,7 +398,7 @@ def _config_text(value) -> str:
         return ", ".join(
             ":".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in value
         )
-    return "none" if value is None else str(value)
+    return str(value)
 
 
 def test_config_file_every_field_default(tmp_path):
@@ -387,7 +406,7 @@ def test_config_file_every_field_default(tmp_path):
     path = tmp_path / "defaults.cfg"
     lines = [f"{f.name} = {_config_text(getattr(defaults, f.name))}" for f in fields(defaults)]
     path.write_text("\n".join(lines) + "\n")
-    assert len(lines) == 22
+    assert len(lines) == 19
     assert load_config(path) == defaults
 
 
@@ -395,6 +414,16 @@ def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("mystery_knob = 3\n")
     with pytest.raises(ConfigError, match="mystery_knob"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("line", ["beta = 10", "epsilon = 1e-08", "guide_first_step = false"])
+def test_config_file_rejects_the_protocol_constants(tmp_path, line):
+    # beta = n, an unguided step 0 and the 1e-8 projection guard are not settings.
+    path = tmp_path / "bench.cfg"
+    path.write_text(line + "\n")
+    key = line.split(" =")[0]
+    with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
         load_config(path)
 
 

@@ -153,7 +153,7 @@ def extreme_case(method, n_steps, sigma_d, spread, seed):
         scales=np.array([0.05, 0.4]),
     )
     inpaint = InpaintTarget(spread * rng.standard_normal((h, d)), np.linspace(1.0, 0.0, h))
-    config = GuidanceConfig(method=method, n_steps=n_steps, beta=n_steps, sigma_d=sigma_d)
+    config = GuidanceConfig(method=method, n_steps=n_steps, sigma_d=sigma_d)
     return rng.standard_normal((h, d)), GaussianMixtureField(params), inpaint, config
 
 
@@ -307,7 +307,7 @@ def landing_residual(s, sigma_d, n, h, d, masked, seed):
     params = GaussianMixtureFieldParams(weights=np.ones(1), means=mu[None], scales=np.array([s]))
     target = mu + rng.standard_normal((h, d))
     inpaint = InpaintTarget(target, (np.arange(h) < masked).astype(float))
-    config = GuidanceConfig(method="pc", sigma_d=sigma_d, n_steps=n, beta=n)
+    config = GuidanceConfig(method="pc", sigma_d=sigma_d, n_steps=n)
     noise = rng.standard_normal((h, d))
     out = guided_denoise(noise, None, GaussianMixtureField(params), inpaint, config)
     return float(np.abs(out[:masked] - target[:masked]).max())
