@@ -44,8 +44,6 @@ from .guidance import (
     otr_project,
     pc_weight,
     pseudoinverse_correction,
-    r_tau_sq,
-    rtc_weight,
 )
 from .harness import (
     ExperimentConfig,
@@ -60,13 +58,6 @@ from .harness import (
     summarize,
     write_rows,
 )
-from .metrics import (
-    EpisodeMetrics,
-    aggregate_weighted,
-    chunk_switch_l2,
-    episode_metrics,
-    max_acc_jerk,
-    worst_case,
-)
+from .metrics import EpisodeMetrics, chunk_switch_l2, episode_metrics, max_acc_jerk
 
 __version__ = "0.1.0"

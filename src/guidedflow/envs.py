@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -125,9 +125,7 @@ class OraclePolicyParams:
     planned action closes; values below 1 keep plan tails correcting instead
     of collapsing to zero at the goal, which is what makes stale plans
     survivable under delay.  clearance is the standoff added to the obstacle
-    radius for the two skirting modes.  chunk_mean_fn may override the
-    built-in controller; it maps an Observation to a (modes, H, D) array of
-    mode means.
+    radius for the two skirting modes.
     """
 
     sigma_cond: float = 0.4
@@ -136,7 +134,6 @@ class OraclePolicyParams:
     gain: float = 0.1
     ctrl_frac: float = 0.35
     clearance: float = 0.04
-    chunk_mean_fn: Optional[Callable[[Observation], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.modes < 1:
@@ -150,7 +147,7 @@ class OraclePolicyParams:
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
-    # 2-D perpendicular; higher-D tasks must supply chunk_mean_fn instead.
+    # 2-D perpendicular; the skirting modes are planned in the plane only.
     return np.array([-v[1], v[0]])
 
 
@@ -197,24 +194,18 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
     opposite sides for modes = 2), entries clipped to [-1, 1]; all modes get
     equal weight and scale sigma_cond.
     """
-    if params.chunk_mean_fn is not None:
-        means = np.asarray(params.chunk_mean_fn(obs), dtype=float)
-        if means.ndim != 3 or means.shape[0] != params.modes:
-            raise StructuralError(f"chunk_mean_fn must return (modes, H, D), got {means.shape}")
-    elif params.modes == 2 and obs.obstacle is not None:
+    if params.modes == 2 and obs.obstacle is not None:
         if obs.position.shape != (2,):
             raise StructuralError(
-                f"obstacle-skirting modes are planned in 2-D, got D = {obs.position.shape[0]}; "
-                "supply chunk_mean_fn for other dimensions"
+                f"obstacle-skirting modes are planned in 2-D, got D = {obs.position.shape[0]}"
             )
         means = _controller_plans(obs, params, [1.0, -1.0])
     else:
         means = _controller_plans(obs, params, np.zeros(params.modes))
-    k = means.shape[0]
     return GaussianMixtureFieldParams(
-        weights=np.full(k, 1.0 / k),
+        weights=np.full(params.modes, 1.0 / params.modes),
         means=means,
-        scales=np.full(k, params.sigma_cond),
+        scales=np.full(params.modes, params.sigma_cond),
     )
 
 

@@ -140,10 +140,6 @@ class GaussianMixtureFieldParams:
         set_field("flat_means", self.means.reshape(self.weights.size, -1))
 
     @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    @property
     def chunk_shape(self) -> tuple[int, int]:
         return self.means.shape[1], self.means.shape[2]
 

@@ -43,8 +43,6 @@ __all__ = [
     "GuidanceMethod",
     "GuidanceConfig",
     "InpaintTarget",
-    "rtc_weight",
-    "r_tau_sq",
     "pc_weight",
     "pseudoinverse_correction",
     "otr_project",
@@ -90,8 +88,8 @@ class GuidanceConfig:
             raise StructuralError(f"sigma_d must be positive and finite, got {self.sigma_d}")
         if not (self.rho > 0.0):
             raise StructuralError(f"rho must be positive (or inf), got {self.rho}")
-        if int(self.n_steps) < 1:
-            raise StructuralError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not (1 <= self.n_steps < math.inf and self.n_steps == int(self.n_steps)):
+            raise StructuralError(f"n_steps must be an integer >= 1, got {self.n_steps}")
         set_field("n_steps", int(self.n_steps))
         set_field("guided", self.method is not GuidanceMethod.NAIVE)
         set_field("weight_sigma", 1.0 if self.method is GuidanceMethod.RTC else self.sigma_d)
@@ -119,44 +117,16 @@ class InpaintTarget:
             raise StructuralError("mask entries must lie in [0, 1]")
 
 
-def _check_open_tau(tau: float) -> float:
-    tau = float(tau)
-    if not (0.0 < tau < 1.0):
-        raise DomainError(f"guidance weight requires tau in (0, 1), got {tau}")
-    return tau
-
-
-def rtc_weight(tau: float, beta: float) -> float:
-    """Unit-prior guidance weight min((tau^2 + (1-tau)^2) / (tau (1-tau)), beta).
-
-    This is pc_weight at sigma_d = 1: min((1-tau)(1 + SNR(tau))/tau, beta)
-    with SNR(tau) = tau^2/(1-tau)^2, symmetric under tau <-> 1-tau, with
-    minimum value 2 at tau = 0.5.
-    """
-    return pc_weight(tau, 1.0, beta)
-
-
-def r_tau_sq(tau: float, sigma_d: float) -> float:
-    """Normalization r^2(tau) = (1-tau)^2 sigma_d^2 / ((1-tau)^2 + sigma_d^2 tau^2).
-
-    At sigma_d = 1 this reduces to (1-tau)^2 / (tau^2 + (1-tau)^2); as
-    tau -> 0 it tends to sigma_d^2.
-    """
-    tau = _check_open_tau(tau)
-    if not (sigma_d > 0.0):
-        raise DomainError(f"sigma_d must be positive, got {sigma_d}")
-    one_m = 1.0 - tau
-    s2 = sigma_d * sigma_d
-    return (one_m * one_m * s2) / (one_m * one_m + s2 * tau * tau)
-
-
 def pc_weight(tau: float, sigma_d: float, beta: float) -> float:
     """Prior-corrected weight min(((1-tau)^2 + sigma_d^2 tau^2) / (sigma_d^2 tau (1-tau)), beta).
 
-    This is (1-tau) / (tau * r_tau_sq(tau, sigma_d)) clipped at beta; at
-    sigma_d = 1 it is the unit-prior weight rtc_weight.
+    This is (1-tau) / (tau r^2(tau)) clipped at beta, with r^2 the posterior
+    variance of the module docstring.  rtc is sigma_d = 1: the unit-prior
+    weight min((tau^2 + (1-tau)^2) / (tau (1-tau)), beta).
     """
-    tau = _check_open_tau(tau)
+    tau = float(tau)
+    if not (0.0 < tau < 1.0):
+        raise DomainError(f"guidance weight requires tau in (0, 1), got {tau}")
     if not (sigma_d > 0.0):
         raise DomainError(f"sigma_d must be positive, got {sigma_d}")
     one_m = 1.0 - tau

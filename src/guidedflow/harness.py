@@ -65,17 +65,21 @@ _WORST_NAMES = [f"worst_{metric}" for metric in SMOOTHNESS_METRICS]
 _CELL_KEY = attrgetter("method", "suite", "delay")
 
 
+def _is_integral(value) -> bool:
+    """Whether ``value`` is an integer; 2.0 counts as 2, 2.5, NaN, inf and text do not."""
+    try:
+        return value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _suite_weights(suites: Sequence[str], variant_weights: dict) -> list[int]:
     """Each suite's weight; ConfigError naming the suite unless it is an integer >= 1."""
     for s in suites:
         if s not in variant_weights:
             raise ConfigError(f"no weight given for suite {s!r}")
         w = variant_weights[s]
-        try:
-            ok = w >= 1 and w == int(w)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
+        if not (_is_integral(w) and w >= 1):
             raise ConfigError(f"suite {s!r} has a non-integer weight or one below 1: {w!r}")
     return [int(variant_weights[s]) for s in suites]
 
@@ -109,13 +113,19 @@ class ExperimentConfig:
     overrun_fail_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        # An integer setting must not truncate silently: 2.0 counts as 2, 2.5 is an error.
+        for name, is_tuple in _INT_FIELDS.items():
+            value = getattr(self, name)
+            items = tuple(value) if is_tuple else (value,)
+            if not all(map(_is_integral, items)):
+                raise ConfigError(f"{name} must be integral, got {value!r}")
+            setattr(self, name, tuple(map(int, items)) if is_tuple else int(value))
         self.methods = tuple(str(m).lower() for m in self.methods)
         for m in self.methods:
             if m not in _METHOD_NAMES:
                 raise ConfigError(f"unknown method {m!r}; choose from {_METHOD_NAMES}")
         if len(self.methods) == 0:
             raise ConfigError("at least one method is required")
-        self.delays = tuple(int(d) for d in self.delays)
         if len(self.delays) == 0:
             raise ConfigError("at least one delay is required")
         for d in self.delays:
@@ -564,6 +574,8 @@ _TYPE_PARSERS = {
 _PARSERS = {
     name: _TYPE_PARSERS[hint] for name, hint in get_type_hints(ExperimentConfig).items()
 }
+# The settings typed int (False) or tuple[int, ...] (True).
+_INT_FIELDS = {n: p is _parse_ints for n, p in _PARSERS.items() if p in (_parse_int, _parse_ints)}
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ExperimentConfig:

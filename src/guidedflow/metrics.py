@@ -9,20 +9,17 @@ consecutive *executed* actions straddling a chunk swap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chunking import BoundaryEvent, EpisodeTrace
-from .errors import StructuralError
 
 __all__ = [
     "EpisodeMetrics",
     "chunk_switch_l2",
     "max_acc_jerk",
     "episode_metrics",
-    "aggregate_weighted",
-    "worst_case",
 ]
 
 
@@ -82,23 +79,3 @@ def episode_metrics(trace: EpisodeTrace) -> EpisodeMetrics:
         max_acc=acc,
         max_jerk=jerk,
     )
-
-
-def aggregate_weighted(suite_means: Iterable[tuple[float, float]]) -> float:
-    """Episode-weighted cross-suite mean: sum(N_s * m_s) / sum(N_s)."""
-    pairs = list(suite_means)
-    if len(pairs) == 0:
-        raise StructuralError("aggregate_weighted requires at least one suite")
-    weights = np.array([p[0] for p in pairs], dtype=float)
-    values = np.array([p[1] for p in pairs], dtype=float)
-    if not (np.isfinite(weights) & (weights >= 1)).all():
-        raise StructuralError("suite weights must be finite and >= 1")
-    return float(np.sum(weights * values) / np.sum(weights))
-
-
-def worst_case(suite_means: Iterable[float]) -> float:
-    """Max across suites of already delay-averaged per-suite values."""
-    values = list(suite_means)
-    if len(values) == 0:
-        raise StructuralError("worst_case requires at least one suite")
-    return float(np.max(values))

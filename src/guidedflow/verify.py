@@ -1,7 +1,7 @@
 """Self-contained oracle and property checks, runnable from the CLI.
 
 Each check recomputes its expected values from an independent route (hand
-arithmetic, closed-form limits, Monte Carlo regression, finite differences,
+arithmetic, closed-form limits, Monte Carlo estimation, finite differences,
 or brute-force sampling) and compares the library against it.  The pytest
 suite drives the same functions; `guidedflow verify` exposes them to
 installed users without requiring the test tree.
@@ -21,9 +21,8 @@ from .flow import (
     gm_velocity,
     pullback_through_estimate,
 )
-from .guidance import GuidanceConfig, guided_denoise, otr_project, pc_weight, r_tau_sq, rtc_weight
+from .guidance import GuidanceConfig, guided_denoise, otr_project, pc_weight
 from .harness import ExperimentConfig, ResultRow, run_cell_episode, summarize
-from .metrics import aggregate_weighted, worst_case
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS"]
 
@@ -58,33 +57,53 @@ AGGREGATION_FIXTURE = {
 WORST_CASE_FIXTURE = ([5.75, 3.86, 4.72, 4.30, 5.85], 5.85)
 
 
+def _rtc_closed_form(tau: float, beta: float) -> float:
+    """RTC's unit-prior weight min((tau^2 + (1-tau)^2) / (tau (1-tau)), beta), written out."""
+    one_m = 1.0 - tau
+    return min((tau * tau + one_m * one_m) / (tau * one_m), beta)
+
+
+def _r_squared(tau: float, sigma_d: float) -> float:
+    """PiGDM's posterior variance r^2 = (1-tau)^2 s^2 / ((1-tau)^2 + s^2 tau^2) at s = sigma_d."""
+    one_m, s2 = 1.0 - tau, sigma_d * sigma_d
+    return one_m * one_m * s2 / (one_m * one_m + s2 * tau * tau)
+
+
 def check_weight_table() -> CheckResult:
-    """Both schedules and their ratio at the five key timesteps."""
+    """Both schedules and their ratio at five taus; rtc as pc at sigma_d = 1 and in closed form."""
     beta, sigma_d = 10.0, 0.4
     worst = 0.0
     for tau, w_rtc_exp, w_pc_exp, ratio_exp in WEIGHT_TABLE:
-        w_rtc = rtc_weight(tau, beta)
-        w_pc = pc_weight(tau, sigma_d, beta)
-        worst = max(worst, abs(w_rtc - w_rtc_exp), abs(w_pc - w_pc_exp))
-        if abs(w_rtc - w_rtc_exp) > 0.005 or abs(w_pc - w_pc_exp) > 0.005:
+        w_rtc, w_pc = pc_weight(tau, 1.0, beta), pc_weight(tau, sigma_d, beta)
+        errs = [abs(w - w_rtc_exp) for w in (w_rtc, _rtc_closed_form(tau, beta))]
+        errs.append(abs(w_pc - w_pc_exp))
+        worst = max(worst, *errs)
+        if max(errs) > 0.005:
             return CheckResult("weight-table", False, f"weight mismatch at tau={tau}")
         if abs(w_pc / w_rtc - ratio_exp) > 0.01:
             return CheckResult("weight-table", False, f"ratio mismatch at tau={tau}")
-    return CheckResult("weight-table", True, f"10 weights + 5 ratios, max weight err {worst:.2e}")
+    return CheckResult("weight-table", True, f"15 weights + 5 ratios, max weight err {worst:.2e}")
 
 
 def check_sigma_unity_reduction() -> CheckResult:
-    """At sigma_d = 1 the prior-corrected forms must equal the unit-prior forms."""
+    """pc_weight against RTC's closed form and PiGDM's r^2, both written out here.
+
+    At sigma_d = 1, w_pc is RTC's weight and r^2 its unit-prior form; below
+    the clip, w_pc = (1-tau) / (tau r^2) for every sigma_d.
+    """
     taus = np.arange(1, 1000) / 1000.0
     beta = 10.0
-    w_err = max(abs(pc_weight(t, 1.0, beta) - rtc_weight(t, beta)) for t in taus)
-    r_err = max(
-        abs(r_tau_sq(t, 1.0) - (1 - t) ** 2 / (t**2 + (1 - t) ** 2)) for t in taus
-    )
-    ok = w_err < 1e-12 and r_err < 1e-12
-    return CheckResult(
-        "sigma-unity-reduction", ok, f"max |dw|={w_err:.2e}, max |dr2|={r_err:.2e} over 999 taus"
-    )
+    w_err = max(abs(pc_weight(t, 1.0, beta) - _rtc_closed_form(t, beta)) for t in taus)
+    unit_r2 = lambda t: (1 - t) ** 2 / (t**2 + (1 - t) ** 2)
+    r_err = max(abs(_r_squared(t, 1.0) - unit_r2(t)) for t in taus)
+    rel_err = 0.0
+    for s in (0.1, 0.4, 1.0, 2.0):
+        for t in taus:
+            expected = (1 - t) / (t * _r_squared(t, s))
+            rel_err = max(rel_err, abs(pc_weight(t, s, math.inf) - expected) / expected)
+    ok = w_err < 1e-12 and r_err < 1e-12 and rel_err < 1e-12
+    detail = f"max |dw|={w_err:.2e}, max |dr2|={r_err:.2e}, max w r2 rel err {rel_err:.2e}"
+    return CheckResult("sigma-unity-reduction", ok, f"{detail} over 999 taus")
 
 
 def check_otr_properties(seed: int = 20240, trials: int = 1000) -> CheckResult:
@@ -216,28 +235,26 @@ def _scalar_params(means, scales, weights) -> GaussianMixtureFieldParams:
     )
 
 
-def _mc_velocity_probe(params, tau, x, rng, n_samples, delta):
-    """Binned Monte Carlo regression of (x1 - eps) on x_tau around x.
+def _mc_velocity_probe(params, tau, x, rng, n_samples):
+    """Kernel-weighted Monte Carlo estimate of E[x1 - eps | x_tau = x].
 
-    Independent of the closed form: draws mixture samples and noise, forms
-    path points, and averages the conditional target in a +-delta bin.
-    Returns (estimate, standard error, count).
+    Independent of the closed form: draws x1 from the prior, takes the noise
+    that puts the path through x, eps = (x - tau x1) / (1 - tau), and weights
+    each draw by the path density exp(-eps^2 / 2).  Returns the
+    self-normalised mean and its delta-method standard error.
     """
-    k = params.weights.size
-    comps = rng.choice(k, size=n_samples, p=params.weights)
+    comps = rng.choice(params.weights.size, size=n_samples, p=params.weights)
     x1 = params.means[comps, 0, 0] + params.scales[comps] * rng.standard_normal(n_samples)
-    eps = rng.standard_normal(n_samples)
-    x_tau = tau * x1 + (1.0 - tau) * eps
-    sel = np.abs(x_tau - x) <= delta
-    count = int(sel.sum())
-    if count < 2:
-        return math.nan, math.inf, count
-    vals = (x1 - eps)[sel]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count)), count
+    eps = (x - tau * x1) / (1.0 - tau)
+    w = np.exp(-0.5 * eps * eps)
+    y = x1 - eps
+    w_sum = np.sum(w)
+    est = float(np.sum(w * y) / w_sum)
+    return est, float(np.sqrt(np.sum((w * (y - est)) ** 2)) / w_sum)
 
 
 def check_velocity_mc_oracle(
-    seed: int = 314, probes_per_field: int = 10, n_samples: int = 4_000_000
+    seed: int = 314, probes_per_field: int = 10, n_samples: int = 200_000
 ) -> CheckResult:
     """Closed-form mixture velocity vs Monte Carlo conditional expectation."""
     rng = np.random.default_rng(seed)
@@ -245,7 +262,8 @@ def check_velocity_mc_oracle(
         "unimodal": _scalar_params([0.4], [0.5], [1.0]),
         "bimodal": _scalar_params([-1.0, 1.0], [0.3, 0.3], [0.5, 0.5]),
     }
-    worst_z = 0.0
+    # All probe points come first, so they do not depend on the sample count.
+    probes = []
     for name, params in fields.items():
         for _ in range(probes_per_field):
             tau = float(rng.uniform(0.1, 0.9))
@@ -253,21 +271,18 @@ def check_velocity_mc_oracle(
             comp = int(rng.choice(params.weights.size, p=params.weights))
             x1 = params.means[comp, 0, 0] + params.scales[comp] * rng.standard_normal()
             x = float(tau * x1 + (1.0 - tau) * rng.standard_normal())
-            delta = 0.01
-            est, se, count = _mc_velocity_probe(params, tau, x, rng, n_samples, delta)
-            if count < 1000:
-                est, se, count = _mc_velocity_probe(params, tau, x, rng, n_samples, 2 * delta)
-            exact = float(gm_velocity(np.array([[x]]), tau, params)[0, 0])
-            z = abs(exact - est) / se
-            worst_z = max(worst_z, z)
-            if z > 3.0:
-                return CheckResult(
-                    "velocity-mc-oracle",
-                    False,
-                    f"{name}: tau={tau:.3f} x={x:.3f} off by {z:.2f} standard errors",
-                )
+            probes.append((name, params, tau, x))
+    worst_z = 0.0
+    for name, params, tau, x in probes:
+        est, se = _mc_velocity_probe(params, tau, x, rng, n_samples)
+        exact = float(gm_velocity(np.array([[x]]), tau, params)[0, 0])
+        z = abs(exact - est) / se
+        worst_z = max(worst_z, z)
+        if z > 3.0:
+            detail = f"{name}: tau={tau:.3f} x={x:.3f} off by {z:.2f} standard errors"
+            return CheckResult("velocity-mc-oracle", False, detail)
     return CheckResult(
-        "velocity-mc-oracle", True, f"20 probes within 3 SE (worst {worst_z:.2f})"
+        "velocity-mc-oracle", True, f"{len(probes)} probes within 3 SE (worst {worst_z:.2f})"
     )
 
 
@@ -289,16 +304,17 @@ def check_aggregation_crosscheck() -> CheckResult:
         for i in range(500)
     ]
     summary = summarize(rows, dict(zip(suites, weights)))
+    w = np.asarray(weights, dtype=float)
     for method in methods:
         values, expected = AGGREGATION_FIXTURE[method]
-        got = aggregate_weighted(list(zip(weights, values)))
+        got = float(np.sum(w * np.asarray(values)) / np.sum(w))
         summarized = summary["methods"][method]["success"]
         if max(abs(got - expected), abs(summarized - expected)) > 0.005:
             detail = f"{method}: {got:.4f} directly, {summarized:.4f} by summarize, not {expected}"
             return CheckResult("aggregation-crosscheck", False, detail)
         if abs(summary["worst_case"][method]["worst_max_jerk"] - worst) > 1e-12:
             return CheckResult("aggregation-crosscheck", False, f"{method}: summarize worst case")
-    if abs(worst_case(jerks) - worst) > 1e-12:
+    if abs(max(jerks) - worst) > 1e-12:
         return CheckResult("aggregation-crosscheck", False, "worst-case reduction mismatch")
     detail = "3 weighted means + worst case reproduced, directly and by summarize"
     return CheckResult("aggregation-crosscheck", True, detail)
@@ -378,7 +394,7 @@ def run_all(fast: bool = False) -> list[CheckResult]:
     results = []
     for check in ALL_CHECKS:
         if fast and check is check_velocity_mc_oracle:
-            results.append(check_velocity_mc_oracle(n_samples=500_000))
+            results.append(check_velocity_mc_oracle(n_samples=50_000))
         elif fast and check is check_equivalences:
             results.append(check_equivalences(seeds=3))
         else:

@@ -122,14 +122,6 @@ def test_bimodal_modes_pass_on_opposite_sides():
     assert lat[0] * lat[1] < 0.0
 
 
-def test_custom_chunk_mean_fn():
-    target = np.full((1, 4, 2), 0.25)
-    params = OraclePolicyParams(modes=1, horizon=4, chunk_mean_fn=lambda obs: target)
-    obs = Observation(position=np.zeros(2), goal=np.ones(2))
-    field = conditional_field(obs, params)
-    assert np.array_equal(field.means, target)
-
-
 def test_conditional_field_cache_tracks_observation():
     variant = default_variants()[0]
     field = make_field(variant)
@@ -238,11 +230,7 @@ def test_nonfinite_parameters_rejected_at_construction(build):
 def test_env_and_field_shape_errors():
     with pytest.raises(StructuralError):
         PointMassEnv(start=np.zeros(2), goal=np.zeros(3))
-    obs = Observation(position=np.zeros(2), goal=np.ones(2))
-    params = OraclePolicyParams(modes=2, chunk_mean_fn=lambda o: np.zeros((1, 10, 2)))
-    with pytest.raises(StructuralError, match="chunk_mean_fn"):
-        conditional_field(obs, params)
-    # the two skirting modes are planned in the plane; other D must bring its own plans
+    # the two skirting modes are planned in the plane only
     obstacle = Obstacle(center=np.full(3, 0.5), radius=0.1)
     obs3 = Observation(position=np.zeros(3), goal=np.ones(3), obstacle=obstacle)
     with pytest.raises(StructuralError, match="D = 3"):

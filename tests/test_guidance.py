@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from guidedflow import flow
+from guidedflow import flow, guidance, verify
 from guidedflow.envs import Observation, Obstacle, default_variants, make_field
 from guidedflow.errors import DomainError, StructuralError
 from guidedflow.flow import (
@@ -21,8 +21,6 @@ from guidedflow.guidance import (
     otr_project,
     pc_weight,
     pseudoinverse_correction,
-    r_tau_sq,
-    rtc_weight,
 )
 from guidedflow.verify import check_otr_properties, check_weight_table
 
@@ -50,48 +48,47 @@ class ConstantField(VelocityField):
 # weight schedules
 
 
+# rtc is pc_weight at sigma_d = 1; r^2 is verify's independent route.
+
+
 def test_rtc_weight_key_values():
-    assert rtc_weight(0.5, 10.0) == pytest.approx(2.00, abs=0.005)
-    assert rtc_weight(0.1, 10.0) == pytest.approx(9.11, abs=0.005)
-    assert rtc_weight(0.3, 10.0) == pytest.approx(2.76, abs=0.005)
+    assert pc_weight(0.5, 1.0, 10.0) == pytest.approx(2.00, abs=0.005)
+    assert pc_weight(0.1, 1.0, 10.0) == pytest.approx(9.11, abs=0.005)
+    assert pc_weight(0.3, 1.0, 10.0) == pytest.approx(2.76, abs=0.005)
 
 
 def test_rtc_weight_matches_snr_expansion():
     for tau in np.linspace(0.05, 0.95, 19):
         snr = tau**2 / (1 - tau) ** 2
-        assert rtc_weight(tau, 1e9) == pytest.approx((1 - tau) * (1 + snr) / tau, rel=1e-12)
+        assert pc_weight(tau, 1.0, 1e9) == pytest.approx((1 - tau) * (1 + snr) / tau, rel=1e-12)
 
 
 def test_weight_domain_errors():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
-            rtc_weight(bad, 10.0)
-        with pytest.raises(DomainError):
             pc_weight(bad, 0.4, 10.0)
-        with pytest.raises(DomainError):
-            r_tau_sq(bad, 0.4)
     with pytest.raises(DomainError):
         pc_weight(0.5, -1.0, 10.0)
 
 
 def test_r_tau_sq_values():
-    assert r_tau_sq(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
-    assert r_tau_sq(0.5, 0.4) == pytest.approx(0.04 / 0.29, rel=1e-12)
+    assert verify._r_squared(0.5, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert verify._r_squared(0.5, 0.4) == pytest.approx(0.04 / 0.29, rel=1e-12)
     # tau -> 0 limit tends to sigma_d^2
-    assert r_tau_sq(1e-9, 0.4) == pytest.approx(0.16, rel=1e-6)
+    assert verify._r_squared(1e-9, 0.4) == pytest.approx(0.16, rel=1e-6)
 
 
 def test_pc_weight_values():
     assert pc_weight(0.5, 0.4, 10.0) == pytest.approx(7.25, abs=0.005)
     assert pc_weight(0.3, 0.4, 10.0) == pytest.approx(10.00, abs=1e-12)  # clipped
     assert pc_weight(0.7, 0.4, 10.0) == pytest.approx(5.01, abs=0.005)
-    assert pc_weight(0.5, 1.0, 10.0) == rtc_weight(0.5, 10.0)
+    assert pc_weight(0.5, 1.0, 10.0) == verify._rtc_closed_form(0.5, 10.0)
 
 
 def test_pc_weight_consistent_with_r_tau_sq():
     for tau in np.linspace(0.05, 0.95, 19):
         for sigma in (0.2, 0.4, 1.0):
-            expected = (1 - tau) / (tau * r_tau_sq(tau, sigma))
+            expected = (1 - tau) / (tau * verify._r_squared(tau, sigma))
             assert pc_weight(tau, sigma, 1e12) == pytest.approx(expected, rel=1e-12)
 
 
@@ -102,9 +99,17 @@ def test_weight_table_check():
 
 def test_sigma_unity_reduction_is_bitwise():
     taus = np.arange(1, 1000) / 1000.0
-    assert max(abs(pc_weight(t, 1.0, 10.0) - rtc_weight(t, 10.0)) for t in taus) == 0.0
+    assert max(abs(pc_weight(t, 1.0, 10.0) - verify._rtc_closed_form(t, 10.0)) for t in taus) == 0.0
     rtc_form = lambda t: (1 - t) ** 2 / (t**2 + (1 - t) ** 2)
-    assert max(abs(r_tau_sq(t, 1.0) - rtc_form(t)) for t in taus) == 0.0
+    assert max(abs(verify._r_squared(t, 1.0) - rtc_form(t)) for t in taus) == 0.0
+
+
+def test_sigma_unity_reduction_catches_a_perturbed_weight(monkeypatch):
+    # Off by 1e-6 relative everywhere, in the library and in what verify imported.
+    perturbed = lambda tau, sigma_d, beta: (1 + 1e-6) * pc_weight(tau, sigma_d, beta)
+    monkeypatch.setattr(guidance, "pc_weight", perturbed)
+    monkeypatch.setattr(verify, "pc_weight", perturbed)
+    assert not verify.check_sigma_unity_reduction().passed
 
 
 def test_weight_dominance_and_symmetry():
@@ -112,7 +117,7 @@ def test_weight_dominance_and_symmetry():
     taus = np.linspace(0.02, 0.98, 49)
     for sigma in (0.1, 0.4, 0.7, 1.0):
         for tau in taus:
-            diff = pc_weight(tau, sigma, big) - rtc_weight(tau, big)
+            diff = pc_weight(tau, sigma, big) - pc_weight(tau, 1.0, big)
             identity = (1 - tau) / tau * (1 / sigma**2 - 1)
             assert diff == pytest.approx(identity, rel=1e-9, abs=1e-9)
             assert diff >= -1e-12
@@ -120,7 +125,7 @@ def test_weight_dominance_and_symmetry():
                 assert abs(diff) < 1e-12
     # unclipped rtc is symmetric under tau <-> 1-tau; pc is not for sigma != 1
     for tau in taus:
-        assert rtc_weight(tau, big) == pytest.approx(rtc_weight(1 - tau, big), rel=1e-12)
+        assert pc_weight(tau, 1.0, big) == pytest.approx(pc_weight(1 - tau, 1.0, big), rel=1e-12)
     asym = [abs(pc_weight(t, 0.4, big) - pc_weight(1 - t, 0.4, big)) for t in taus]
     assert max(asym) > 1.0
 
@@ -234,6 +239,10 @@ def test_guidance_config_validation():
         GuidanceConfig(rho=-1.0)
     with pytest.raises(StructuralError):
         GuidanceConfig(n_steps=0)
+    for n_steps in (2.5, math.nan, math.inf):
+        with pytest.raises(StructuralError, match="n_steps"):
+            GuidanceConfig(n_steps=n_steps)
+    assert GuidanceConfig(n_steps=2.0).n_steps == 2
     assert math.isinf(GuidanceConfig(method="pc", rho=math.inf).rho)
     assert GuidanceConfig(method="rtc").method is GuidanceMethod.RTC
 

@@ -361,6 +361,16 @@ def test_config_validation_errors():
         ExperimentConfig(variants=(), output_dir="x")
     with pytest.raises(ConfigError, match="seed_base"):
         ExperimentConfig(seed_base=-1, output_dir="x")
+    # Integer settings must not truncate silently.
+    for name, value in [
+        ("n_steps", 2.5), ("delays", (1.5,)), ("max_steps", 30.5),
+        ("episodes_per_cell", 1.5), ("seed_base", 0.5), ("horizon", 10.5),
+    ]:
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(**{name: value}, output_dir="x")
+    config = ExperimentConfig(n_steps=2.0, delays=(1.0, 2), output_dir="x")
+    assert (config.n_steps, config.delays) == (2, (1, 2))
+    assert type(config.n_steps) is int and type(config.delays[0]) is int
 
 
 @pytest.mark.parametrize("weight", [9.7, float("nan"), float("inf")])

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from guidedflow.chunking import BoundaryEvent, EpisodeTrace
-from guidedflow.errors import StructuralError
-from guidedflow.metrics import (
-    aggregate_weighted,
-    chunk_switch_l2,
-    episode_metrics,
-    max_acc_jerk,
-    worst_case,
-)
+from guidedflow.harness import ResultRow, summarize
+from guidedflow.metrics import chunk_switch_l2, episode_metrics, max_acc_jerk
 from guidedflow.verify import check_aggregation_crosscheck
 
 
@@ -89,45 +83,45 @@ def test_translation_invariance_and_homogeneity():
 # aggregation
 
 
+def summarized(suite_means):
+    """summarize's cross-suite l2_mean and its worst case, one delay-1 row per (weight, mean)."""
+    suites = [f"suite{i}" for i in range(len(suite_means))]
+    rows = [
+        ResultRow("rtc", 1, suite, 0, True, 30, mean, 0.0, 0.0, 0.0)
+        for suite, (_, mean) in zip(suites, suite_means)
+    ]
+    summary = summarize(rows, {suite: n for suite, (n, _) in zip(suites, suite_means)})
+    return summary["methods"]["rtc"]["l2_mean"], summary["worst_case"]["rtc"]["worst_l2_mean"]
+
+
+def summarized_mean(suite_means):
+    return summarized(suite_means)[0]
+
+
 def test_equal_weights_is_arithmetic_mean():
-    assert aggregate_weighted([(5, 0.2), (5, 0.4), (5, 0.9)]) == pytest.approx(0.5)
+    assert summarized_mean([(5, 0.2), (5, 0.4), (5, 0.9)]) == pytest.approx(0.5)
 
 
 def test_single_suite_identity():
-    assert aggregate_weighted([(90, 0.298)]) == pytest.approx(0.298)
+    assert summarized_mean([(90, 0.298)]) == pytest.approx(0.298)
 
 
 def test_task_count_weighted_fixture():
     values = [(90, 0.298), (10, 0.940), (10, 0.900), (10, 0.960), (10, 0.980)]
-    assert aggregate_weighted(values) == pytest.approx(0.4972, abs=5e-4)
+    assert summarized_mean(values) == pytest.approx(0.4972, abs=5e-4)
 
 
 def test_aggregate_order_and_scale_invariance():
     pairs = [(10, 0.9), (90, 0.3), (10, 0.5)]
-    a = aggregate_weighted(pairs)
-    assert aggregate_weighted(list(reversed(pairs))) == pytest.approx(a, rel=1e-15)
-    assert aggregate_weighted([(7 * n, m) for n, m in pairs]) == pytest.approx(a, rel=1e-12)
-
-
-def test_aggregate_empty_is_error():
-    with pytest.raises(StructuralError):
-        aggregate_weighted([])
-    with pytest.raises(StructuralError):
-        worst_case([])
-
-
-@pytest.mark.parametrize(
-    "pairs", [[(float("nan"), 0.5), (1, 0.2)], [(float("inf"), 0.5)]]
-)
-def test_aggregate_rejects_non_finite_weights(pairs):
-    with pytest.raises(StructuralError, match="weights"):
-        aggregate_weighted(pairs)
+    a = summarized_mean(pairs)
+    assert summarized_mean(list(reversed(pairs))) == pytest.approx(a, rel=1e-15)
+    assert summarized_mean([(7 * n, m) for n, m in pairs]) == pytest.approx(a, rel=1e-12)
 
 
 def test_worst_case():
-    assert worst_case([0.7, 0.7, 0.7]) == pytest.approx(0.7)
-    assert worst_case([5.75, 3.86, 4.72, 4.30, 5.85]) == pytest.approx(5.85)
-    assert worst_case([1.25]) == pytest.approx(1.25)
+    cases = [([0.7, 0.7, 0.7], 0.7), ([5.75, 3.86, 4.72, 4.30, 5.85], 5.85), ([1.25], 1.25)]
+    for means, worst in cases:
+        assert summarized([(1, m) for m in means])[1] == pytest.approx(worst)
 
 
 def test_cross_suite_fixture_reproduces_totals():

@@ -22,6 +22,8 @@ from guidedflow.envs import (
     Obstacle,
     OraclePolicyParams,
     conditional_field,
+    default_variants,
+    make_env,
 )
 from guidedflow.errors import NumericError
 from guidedflow.flow import (
@@ -40,7 +42,6 @@ from guidedflow.harness import (
     summarize,
     write_rows,
 )
-from guidedflow.metrics import aggregate_weighted, worst_case
 
 # Derandomized, so a tier-1 run is reproducible; widen max_examples to search.
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -77,6 +78,24 @@ def mixture_points(draw):
     return params, x, tau, u
 
 
+@st.composite
+def conditional_points(draw):
+    """A shipped variant's conditional field, a real observation, a point, a time and a cotangent.
+
+    The observation is the variant's environment after a drawn run of actions.
+    """
+    variant = draw(st.sampled_from(default_variants()))
+    h = draw(st.integers(1, 10))
+    env = make_env(variant, rng=None, action_noise_std=0.0)
+    for action in draw(hnp.arrays(float, (draw(st.integers(0, 20)), 2), elements=unit_floats())):
+        env.step(action)
+    field = ConditionalGMField(OraclePolicyParams(modes=variant.modes, horizon=h))
+    x = draw(hnp.arrays(float, (h, 2), elements=unit_floats(-2.0, 2.0)))
+    tau = draw(unit_floats(0.0, 0.99))
+    u = draw(hnp.arrays(float, (h, 2), elements=unit_floats(-3.0, 3.0)))
+    return field, env.observe(), x, tau, u
+
+
 class NumericOnly(GaussianMixtureField):
     """The mixture field with the analytic linearization hidden."""
 
@@ -84,26 +103,24 @@ class NumericOnly(GaussianMixtureField):
 
 
 @PROPERTY_SETTINGS
-@given(mixture_points())
-def test_linearize_equals_evaluate_and_vjp(case):
+@given(mixture_points(), conditional_points())
+def test_linearize_equals_evaluate_and_vjp(case, conditional_case):
     params, x, tau, u = case
-    k, h, d = params.means.shape
-    # Equal weights and one scale, but the same means; the observation only
-    # has to be an object the field can cache on.
-    oracle = OraclePolicyParams(
-        sigma_cond=float(params.scales[0]), modes=k, horizon=h, chunk_mean_fn=lambda o: params.means
-    )
-    conditional = ConditionalGMField(oracle)
-    obs = object()
-    for field in (GaussianMixtureField(params), conditional, NumericOnly(params)):
-        v, pullback = field.linearize(x, tau, obs)
-        assert np.array_equal(v, field.evaluate(x, tau, obs))
-        g = pullback(u)
+    conditional, obs, x_c, tau_c, u_c = conditional_case
+    points = [
+        (GaussianMixtureField(params), None, x, tau, u),
+        (NumericOnly(params), None, x, tau, u),
+        (conditional, obs, x_c, tau_c, u_c),
+    ]
+    for field, o, chunk, t, cotangent in points:
+        v, pullback = field.linearize(chunk, t, o)
+        assert np.array_equal(v, field.evaluate(chunk, t, o))
+        g = pullback(cotangent)
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
     # The conditional field is the mixture field of its conditioned parameters.
-    v, pullback = conditional.linearize(x, tau, obs)
-    v_gm, pullback_gm = GaussianMixtureField(conditional.field_params(obs)).linearize(x, tau)
-    assert np.array_equal(v, v_gm) and np.array_equal(pullback(u), pullback_gm(u))
+    v, pullback = conditional.linearize(x_c, tau_c, obs)
+    v_gm, pullback_gm = GaussianMixtureField(conditional.field_params(obs)).linearize(x_c, tau_c)
+    assert np.array_equal(v, v_gm) and np.array_equal(pullback(u_c), pullback_gm(u_c))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +363,7 @@ def test_pc_off_prior_scale_or_clipped_does_not_land(s, sigma_d):
 # summarize == the list-based aggregation it replaced, bit for bit
 #
 # The reference below is summarize as it was before the column table: one
-# np.mean per cell and metric over Python lists, and aggregate_weighted per
+# np.mean per cell and metric over Python lists, and the episode-weighted mean per
 # metric across suites.
 
 
@@ -381,7 +398,12 @@ def _reference_combine(cells, variant_weights):
             for s in sorted(cells)
             if not math.isnan(cells[s][metric])
         ]
-        out[metric] = aggregate_weighted(pairs) if pairs else math.nan
+        if pairs:
+            w = np.array([p[0] for p in pairs], dtype=float)
+            v = np.array([p[1] for p in pairs], dtype=float)
+            out[metric] = float(np.sum(w * v) / np.sum(w))
+        else:
+            out[metric] = math.nan
     return out
 
 
@@ -420,7 +442,7 @@ def reference_summarize(rows, variant_weights):
         worst = {}
         for metric in SMOOTHNESS_METRICS:
             vals = [c[metric] for c in per_suite.values() if not math.isnan(c[metric])]
-            worst[f"worst_{metric}"] = worst_case(vals) if vals else None
+            worst[f"worst_{metric}"] = max(vals) if vals else None
         summary["worst_case"][method] = worst
         summary["per_delay"][method] = {
             str(d): _reference_clean(_reference_combine(cells, variant_weights))
