@@ -113,7 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{status} {res.name}: {res.detail}")
+        print(f"{status} {res.name} ({res.seconds:.2f} s): {res.detail}")
         failed += 0 if res.passed else 1
     if failed:
         print(f"{failed}/{len(results)} checks failed", file=sys.stderr)

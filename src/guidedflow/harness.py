@@ -14,11 +14,13 @@ replanning every step there is no intra-chunk switching to measure.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -63,6 +65,7 @@ ALL_METRICS = tuple(f.name for f in fields(EpisodeMetrics))
 SMOOTHNESS_METRICS = ALL_METRICS[2:]  # all but success and env_steps
 _WORST_NAMES = [f"worst_{metric}" for metric in SMOOTHNESS_METRICS]
 _CELL_KEY = attrgetter("method", "suite", "delay")
+_METRIC_GETTERS = [attrgetter(metric) for metric in ALL_METRICS]
 
 
 def _is_integral(value) -> bool:
@@ -217,13 +220,14 @@ _ROW_FIELD_TYPES = {
     bool: ({"0": False, "1": True}.__getitem__, None, "0 or 1"),
     float: (float, math.isfinite, "a finite number"),
 }
-_ROW_FIELDS = {name: _ROW_FIELD_TYPES[hint] for name, hint in get_type_hints(ResultRow).items()}
+_ROW_TYPES = get_type_hints(ResultRow)
+_ROW_FIELDS = {name: _ROW_FIELD_TYPES[hint] for name, hint in _ROW_TYPES.items()}
 _ROW_FIELDS["method"] = ({m: m for m in _METHOD_NAMES}.__getitem__, None, f"one of {_METHOD_NAMES}")
 ROW_HEADER = list(_ROW_FIELDS)
 # How write_rows formats a field of a type listed here before the csv writer writes it
 # with str, which for a float is its shortest repr, the text float() reads back exactly.
 _ROW_FIELD_FORMATS = {bool: int}
-_ROW_FORMATS = [_ROW_FIELD_FORMATS.get(hint) for hint in get_type_hints(ResultRow).values()]
+_ROW_COLUMNS = [(attrgetter(name), _ROW_FIELD_FORMATS.get(t)) for name, t in _ROW_TYPES.items()]
 
 
 @dataclass
@@ -310,53 +314,58 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     return SweepResult(rows, summary, overruns, rows_path, summary_path)
 
 
+def _run_sums(values: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Sums of the consecutive runs of ``lengths[i]`` values of a 1-D array; nan for an empty run.
+
+    Neighbouring runs of one length k are summed as one (runs, k) block: numpy sums pairwise
+    from 8 values on, so only that equals np.sum of each run bit for bit."""
+    sums = np.empty(len(lengths))
+    start = done = 0
+    for k, group in itertools.groupby(lengths):
+        n = len(list(group))
+        runs = values[start : start + n * k].reshape(n, k)
+        sums[done : done + n] = np.add.reduce(runs, 1) if k else math.nan
+        start, done = start + n * k, done + n
+    return sums
+
+
 def _cell_cube(rows: Sequence[ResultRow], variant_weights: dict):
     """Sorted methods, suites and delays, suite weights, and each cell's ALL_METRICS means.
 
-    cube[method, suite, delay] is nan where a cell or value is missing; env_steps
-    averages successful rows.  A stable sort of first-seen cell codes keeps each
-    cell's rows in order, so one reduction of its slice equals np.mean bit for bit.
-    """
+    cube[method, suite, delay] is nan where a cell or value is missing; env_steps averages
+    successful rows.  A stable sort keeps each cell's rows in order for _run_sums."""
     n = len(rows)
-    first: dict = {}  # cell key -> index of its first row
-    codes = np.fromiter(map(first.setdefault, map(_CELL_KEY, rows), range(n)), np.intp, n)
-    order = np.argsort(codes, kind="stable")
-    block = np.empty((len(ALL_METRICS), n))
-    for column, metric in zip(block, ALL_METRICS):
-        np.take(np.fromiter(map(attrgetter(metric), rows), float, n), order, out=column)
-    methods, suites, delays = (sorted(set(axis)) for axis in zip(*first))
-    weights = _suite_weights(suites, variant_weights)
-    at = [{v: i for i, v in enumerate(axis)} for axis in (methods, suites, delays)]
-    cube = np.full((len(methods), len(suites), len(delays), len(ALL_METRICS)), np.nan)
-    start = 0
-    for key, end in zip(first, np.bincount(codes)[list(first.values())].cumsum().tolist()):
-        cell = block[:, start:end]
-        means = np.add.reduce(cell, axis=1) / (end - start)
-        steps = cell[1, cell[0] != 0]
-        means[1] = np.add.reduce(steps) / steps.size if steps.size else math.nan
-        cube[tuple(a[k] for a, k in zip(at, key))] = means
-        start = end
-    return methods, suites, delays, weights, cube
+    cells = defaultdict(lambda: len(cells))  # cell key -> its rank by first appearance
+    codes = np.fromiter(map(cells.__getitem__, map(_CELL_KEY, rows)), np.intp, n)
+    columns = itertools.chain(*(map(get, rows) for get in _METRIC_GETTERS))
+    block = np.fromiter(columns, float, len(ALL_METRICS) * n).reshape(-1, n)
+    block = block.take(codes.argsort(kind="stable"), 1)
+    block[1] *= block[0]  # env_steps of successes, 0 for failures: exact integer sums
+    sizes = np.bincount(codes)
+    sums = _run_sums(block.ravel(), sizes.tolist() * len(ALL_METRICS)).reshape(-1, len(sizes))
+    means = sums / sizes
+    means[1] = [s / k if k else math.nan for k, s in zip(*sums[:2].tolist())]
+    methods, suites, delays = axes = [sorted(set(axis)) for axis in zip(*cells)]
+    nm, ns, nd = map(len, axes)
+    cube = np.full((nm * ns * nd, len(ALL_METRICS)), np.nan)
+    at = [(methods.index(m) * ns + suites.index(s)) * nd + delays.index(d) for m, s, d in cells]
+    cube[at] = means.T
+    return (*axes, _suite_weights(suites, variant_weights), cube.reshape(nm, ns, nd, -1))
 
 
-def _masked_mean(values: np.ndarray, weights: Sequence[float]) -> np.ndarray:
+def _kept_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums along the last axis of the values that are not nan, nan where none is; and the mask.
+    Each sum adds its row's kept values in order (_run_sums), as zero-filling would not."""
+    kept = values == values
+    sums = _run_sums(values[kept], np.add.reduce(kept, -1).ravel().tolist())
+    return sums.reshape(kept.shape[:-1]), kept
+
+
+def _masked_mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum(w * v) / sum(w) along the last axis over the values that are not nan; nan if none is.
-
-    Kept values are packed to the row's front in order and rows keeping k are summed as one
-    (rows, k) block: np.sum of the kept list equals it bit for bit, as zero-filling would not.
-    """
-    *outer, width = values.shape
-    values = values.reshape(math.prod(outer), width)
-    missing = np.isnan(values)
-    pack = np.argsort(missing, axis=1, kind="stable")
-    weights = np.asarray(weights, dtype=float)[pack]
-    weighted = np.take_along_axis(values, pack, 1) * weights
-    kept = width - missing.sum(1)
-    out = np.full(len(values), np.nan)
-    for k in set(kept.tolist()) - {0}:
-        rows = kept == k
-        out[rows] = np.add.reduce(weighted[rows, :k], 1) / np.add.reduce(weights[rows, :k], 1)
-    return out.reshape(outer)
+    The weights are integers, whose sums are exact in any order."""
+    total, kept = _kept_sums(values * weights)
+    return total / np.dot(kept, weights)
 
 
 def _block(names: Sequence[str], values: Sequence[float]) -> dict:
@@ -374,38 +383,35 @@ def summarize(rows: Sequence[ResultRow], variant_weights: dict[str, int]) -> dic
         raise ConfigError("summarize requires at least one result row")
     methods, suites, delays, weights, cube = _cell_cube(rows, variant_weights)
     agg = [i for i, d in enumerate(delays) if d != 0]
-    agg_delays, cube = [delays[i] for i in agg], cube[:, :, agg]
-    per_delay = _masked_mean(cube.transpose(0, 2, 3, 1), weights)
+    agg_delays, cube = [delays[i] for i in agg], cube.take(agg, 2)
     # Per suite, the arithmetic mean over delays of the per-delay cell means.
-    per_suite = _masked_mean(cube.transpose(0, 1, 3, 2), [1.0] * len(agg))
-    overall = _masked_mean(per_suite.transpose(0, 2, 1), weights)
+    total, kept = _kept_sums(cube.transpose(0, 1, 3, 2))
+    per_suite = total / np.add.reduce(kept, -1)
+    # The suite-weighted means of each delay's cells, then of per_suite as one more delay.
+    by_delay = np.concatenate((cube, per_suite[:, :, None]), 2).transpose(0, 2, 3, 1)
+    by_delay = _masked_mean(by_delay, np.array(weights, dtype=float)).tolist()
     # SMOOTHNESS_METRICS follow success and env_steps in ALL_METRICS.
-    worst = np.fmax.reduce(per_suite[:, :, 2:], axis=1)
+    worst = np.fmax.reduce(per_suite[:, :, 2:], axis=1).tolist()
     summary: dict = {
         "aggregated_delays": agg_delays,
         "suite_weights": dict(zip(suites, weights)),
-        "methods": {m: _block(ALL_METRICS, v) for m, v in zip(methods, overall.tolist())},
-        "worst_case": {m: _block(_WORST_NAMES, v) for m, v in zip(methods, worst.tolist())},
+        "methods": {m: _block(ALL_METRICS, v[-1]) for m, v in zip(methods, by_delay)},
+        "worst_case": {m: _block(_WORST_NAMES, v) for m, v in zip(methods, worst)},
         "per_delay": {
-            m: {str(d): _block(ALL_METRICS, v) for d, v in zip(agg_delays, by_delay)}
-            for m, by_delay in zip(methods, per_delay.tolist())
+            m: {str(d): _block(ALL_METRICS, v) for d, v in zip(agg_delays, means)}
+            for m, means in zip(methods, by_delay)
         },
     }
     if "rtc" in summary["methods"]:
-        deltas = {}
-        rtc_block = summary["methods"]["rtc"]
-        for method in methods:
-            if method == "rtc":
-                continue
-            block = {}
-            for metric in ALL_METRICS:
-                base, val = rtc_block[metric], summary["methods"][method][metric]
-                if base in (None, 0) or val is None:
-                    block[metric] = None
-                else:
-                    block[metric] = 100.0 * (val - base) / base
-            deltas[method] = block
-        summary["vs_rtc"] = deltas
+        base = summary["methods"]["rtc"]
+        summary["vs_rtc"] = {
+            m: {
+                k: None if base[k] in (None, 0) or v is None else 100.0 * (v - base[k]) / base[k]
+                for k, v in summary["methods"][m].items()
+            }
+            for m in methods
+            if m != "rtc"
+        }
     else:
         warnings.warn("no rtc rows present; vs-rtc delta block omitted", stacklevel=2)
     return summary
@@ -427,7 +433,7 @@ def _grid_search(
     for value in grid:
         rows, _ = _run_cell(replace(config, **{param: float(value)}), method, delay)
         _, _, _, weights, cube = _cell_cube(rows, dict(config.variants))
-        agg = _masked_mean(cube[0, :, 0].T, weights)
+        agg = _masked_mean(cube[0, :, 0].T, np.array(weights, dtype=float))
         # The header names the parameter, then ALL_METRICS in order.
         table.append(dict(zip(header, [float(value)] + agg.tolist())))
     if path is not None:
@@ -458,19 +464,19 @@ def grid_search_rho(
 
 
 def _write_csv(path, header: list[str], records) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(records)
+    try:
+        fh = open(path, "w", newline="")
+    except OSError:  # most likely a missing directory: create it, or fail as that does
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    with fh:
+        csv.writer(fh).writerows(itertools.chain([header], records))
 
 
 def write_rows(rows: Sequence[ResultRow], path) -> None:
     """One record per row in ``sort_key`` order, each field written as its type says."""
     rows = sorted(rows, key=ResultRow.sort_key)
-    columns = [map(attrgetter(name), rows) for name in ROW_HEADER]
-    columns = [c if fmt is None else map(fmt, c) for fmt, c in zip(_ROW_FORMATS, columns)]
+    columns = (map(fmt, map(get, rows)) if fmt else map(get, rows) for get, fmt in _ROW_COLUMNS)
     _write_csv(path, ROW_HEADER, zip(*columns))
 
 
@@ -492,18 +498,14 @@ def read_rows(path) -> list[ResultRow]:
         # the transient columns small; only a malformed file pays for the
         # record-by-record pass that finds its first bad line.
         while records := list(itertools.islice(reader, 512)):
+            texts = zip(_ROW_FIELDS.values(), zip(*records, strict=True), strict=True)
             try:
-                columns = [
-                    list(map(parse, texts))
-                    for (parse, _, _), texts in zip(
-                        _ROW_FIELDS.values(), zip(*records, strict=True), strict=True
-                    )
-                ]
+                columns = [list(map(parse, column)) for (parse, _, _), column in texts]
             except (ValueError, KeyError):
                 raise _malformed_record(path) from None
-            for (_, valid, _), column in zip(_ROW_FIELDS.values(), columns):
-                if valid is not None and not all(map(valid, column)):
-                    raise _malformed_record(path)
+            checks = zip(_ROW_FIELDS.values(), columns)
+            if not all(valid is None or all(map(valid, c)) for (_, valid, _), c in checks):
+                raise _malformed_record(path)
             rows.extend(map(ResultRow, *columns))
     return rows
 
@@ -535,13 +537,6 @@ def _parse_strs(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as err:
-        raise ConfigError(f"cannot parse integer list from {text!r}") from err
-
-
 def _parse_variants(text: str) -> tuple[tuple[str, float], ...]:
     """name[:weight] pairs, weight 1 by default; ExperimentConfig checks each weight."""
     pairs = (tok.split(":", 1) if ":" in tok else (tok, "1") for tok in _parse_strs(text))
@@ -555,11 +550,16 @@ def _parse_float(text: str) -> float:
         raise ConfigError(f"cannot parse float from {text!r}") from err
 
 
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as err:
-        raise ConfigError(f"cannot parse integer from {text!r}") from err
+def _parse_int(text: str):
+    """The number ``text`` spells, integer text exactly, else the text: ExperimentConfig
+    rejects a value that is not integral (2.5, 'abc') as it does one passed in Python."""
+    for parse in (int, float, str):
+        with contextlib.suppress(ValueError):
+            return parse(text)
+
+
+def _parse_ints(text: str) -> tuple:
+    return tuple(_parse_int(tok) for tok in text.split(",") if tok.strip())
 
 
 # One parser per field type; a field of any other type fails at import.

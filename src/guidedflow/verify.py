@@ -10,7 +10,8 @@ installed users without requiring the test tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +33,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
 
 # Hand-evaluated schedule values at key timesteps (sigma_d = 0.4, beta = 10):
@@ -390,13 +392,11 @@ ALL_CHECKS = [
 
 
 def run_all(fast: bool = False) -> list[CheckResult]:
-    """Run every check; `fast` trims Monte Carlo sample counts."""
+    """Run every check and time it; `fast` trims the Monte Carlo and equivalence samples."""
+    trims = {check_velocity_mc_oracle: {"n_samples": 50_000}, check_equivalences: {"seeds": 3}}
     results = []
     for check in ALL_CHECKS:
-        if fast and check is check_velocity_mc_oracle:
-            results.append(check_velocity_mc_oracle(n_samples=50_000))
-        elif fast and check is check_equivalences:
-            results.append(check_equivalences(seeds=3))
-        else:
-            results.append(check())
+        start = time.perf_counter()
+        result = check(**trims.get(check, {}) if fast else {})
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

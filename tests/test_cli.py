@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,7 @@ def test_config_error_exit_code(tmp_path):
         "methods = potr,potr", "delays = 1,1", "variants = unimodal:9.7",
         "seed_base = -1", "sigma_d = inf",
         "beta = 10", "epsilon = 1e-08", "guide_first_step = false",
+        "n_steps = 2.5", "n_steps = abc",
     ],
 )
 def test_invalid_guidance_config_fails_before_output(tmp_path, capsys, line):
@@ -142,4 +144,5 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
     assert len(lines) == 8
-    assert all(line.startswith("PASS") for line in lines)
+    # Each line names its check and its wall time: "PASS weight-table (0.01 s): ...".
+    assert all(re.fullmatch(r"PASS [a-z-]+ \(\d+\.\d\d s\): .+", line) for line in lines)

@@ -411,6 +411,18 @@ def _config_text(value) -> str:
     return str(value)
 
 
+def test_config_file_integers_agree_with_the_constructor(tmp_path):
+    path = tmp_path / "bench.cfg"
+    path.write_text("n_steps = 2.0\ndelays = 1.0, 2\nseed_base = 12345678901234567891\n")
+    config = load_config(path)
+    assert (config.n_steps, config.delays) == (2, (1, 2)) and type(config.n_steps) is int
+    assert config.seed_base == 12345678901234567891  # integer text is read exactly
+    for text, shown in [("2.5", "2.5"), ("abc", "'abc'")]:
+        path.write_text(f"n_steps = {text}\n")
+        with pytest.raises(ConfigError, match=f"^n_steps must be integral, got {shown}$"):
+            load_config(path)
+
+
 def test_config_file_every_field_default(tmp_path):
     defaults = ExperimentConfig()
     path = tmp_path / "defaults.cfg"

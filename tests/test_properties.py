@@ -466,12 +466,40 @@ def reference_summarize(rows, variant_weights):
     return summary
 
 
+def synthetic_rows(rng, methods, suites, delays, sizes, missing):
+    """Shuffled rows of every (method, suite, delay) cell but a ``missing`` share of them.
+
+    A cell holds sizes[0]-sizes[1] rows and succeeds at a rate of 0, 0.5 or 0.95, so some
+    cells have no successes; about one metric value in ten is 0.0 or -0.0.
+    """
+    rows = []
+    for method, suite, delay in itertools.product(methods, suites, delays):
+        if rng.random() < missing:
+            continue
+        n = int(rng.integers(sizes[0], sizes[1] + 1))
+        success = rng.random(n) < rng.choice([0.0, 0.5, 0.95])
+        scale = 10.0 ** rng.uniform(-3, 3)
+        l2_mean = scale * rng.lognormal(0.0, 1.0, n)
+        l2_max = l2_mean * (1.0 + rng.exponential(1.0, n))
+        acc = scale * rng.gamma(2.0, 1.0, n)
+        jerk = acc * (1.0 + rng.exponential(1.0, n))
+        metrics = [
+            np.where(rng.random(n) < 0.1, rng.choice([0.0, -0.0], n), values).tolist()
+            for values in (l2_mean, l2_max, acc, jerk)
+        ]
+        steps = rng.integers(1, 200, n)
+        rows += [
+            ResultRow(method, delay, suite, i, *values)
+            for i, values in enumerate(zip(success.tolist(), steps.tolist(), *metrics))
+        ]
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
 @st.composite
 def row_sets(draw):
-    """Shuffled rows of 1-4 methods, delays 0-9 with gaps and 1-9 suites, and suite weights.
+    """Rows of 1-4 methods, delays 0-9 with gaps and 1-9 suites, and suite weights.
 
-    About one cell in seven is missing, cells hold 1-300 rows, and a cell's
-    success rate is 0, 0.5 or 0.95, so some cells have no successes.
+    About one cell in seven is missing and cells hold 1-300 rows (see synthetic_rows).
     """
     methods = draw(st.lists(st.sampled_from(("naive", "pc", "potr", "rtc")),
                             min_size=1, max_size=4, unique=True))
@@ -480,25 +508,22 @@ def row_sets(draw):
     weights = {s: draw(st.integers(1, 20)) for s in suites}
     most = draw(st.sampled_from([1, 3, 30, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = []
-    for method, suite, delay in itertools.product(methods, suites, delays):
-        if rng.random() < 0.15:
-            continue
-        n = int(rng.integers(1, most + 1))
-        success = rng.random(n) < rng.choice([0.0, 0.5, 0.95])
-        scale = 10.0 ** rng.uniform(-3, 3)
-        l2_mean = scale * rng.lognormal(0.0, 1.0, n)
-        l2_max = l2_mean * (1.0 + rng.exponential(1.0, n))
-        acc = scale * rng.gamma(2.0, 1.0, n)
-        jerk = acc * (1.0 + rng.exponential(1.0, n))
-        steps = rng.integers(1, 200, n)
-        rows += [
-            ResultRow(method, delay, suite, i, *values)
-            for i, values in enumerate(zip(success.tolist(), steps.tolist(), l2_mean.tolist(),
-                                           l2_max.tolist(), acc.tolist(), jerk.tolist()))
-        ]
+    rows = synthetic_rows(rng, methods, suites, delays, (1, most), missing=0.15)
     assume(rows)
-    return [rows[i] for i in rng.permutation(len(rows))], weights
+    return rows, weights
+
+
+# The benchmark's two shapes: control-loop's one potr cell (24 rows, delay 1, one suite,
+# no rtc rows) and summarize-rows' 4 methods x 6 delays x 2 suites; and 9 suites and 9
+# aggregated delays with a third of the cells missing, where numpy sums pairwise.
+BENCH_CELL = (synthetic_rows(np.random.default_rng(1), ["potr"], ["bimodal"], [1], (24, 24), 0.0),
+              {"bimodal": 9})
+BENCH_GRID = (synthetic_rows(np.random.default_rng(2), ("naive", "pc", "potr", "rtc"),
+                             ["bimodal", "unimodal"], range(6), (125, 125), 0.0),
+              {"bimodal": 9, "unimodal": 1})
+WIDE_GAPS = (synthetic_rows(np.random.default_rng(3), ["pc", "rtc"], [f"s{i}" for i in range(9)],
+                            range(10), (1, 5), 0.3),
+             {f"s{i}": i + 1 for i in range(9)})
 
 
 def _leaves(obj):
@@ -513,6 +538,9 @@ def _leaves(obj):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(row_sets())
+@example(BENCH_CELL)
+@example(BENCH_GRID)
+@example(WIDE_GAPS)
 def test_summarize_equals_list_reference(case):
     rows, weights = case
     with warnings.catch_warnings():
