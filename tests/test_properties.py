@@ -515,7 +515,8 @@ def row_sets(draw):
 
 # The benchmark's two shapes: control-loop's one potr cell (24 rows, delay 1, one suite,
 # no rtc rows) and summarize-rows' 4 methods x 6 delays x 2 suites; and 9 suites and 9
-# aggregated delays with a third of the cells missing, where numpy sums pairwise.
+# aggregated delays with about 30% of the cells missing, so that many masked means keep
+# 8 of 9 values, where numpy sums pairwise and zero-filling would change the sums.
 BENCH_CELL = (synthetic_rows(np.random.default_rng(1), ["potr"], ["bimodal"], [1], (24, 24), 0.0),
               {"bimodal": 9})
 BENCH_GRID = (synthetic_rows(np.random.default_rng(2), ("naive", "pc", "potr", "rtc"),
