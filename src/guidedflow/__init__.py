@@ -34,7 +34,6 @@ from .flow import (
     VelocityField,
     gm_linearize,
     gm_velocity,
-    one_step_estimate,
 )
 from .guidance import (
     GuidanceConfig,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import abc
 import functools
-import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -41,8 +40,6 @@ __all__ = [
     "as_chunk",
     "gm_velocity",
     "gm_linearize",
-    "one_step_estimate",
-    "pullback_through_estimate",
 ]
 
 # Central-difference step for numerical velocity Jacobians; balances
@@ -144,15 +141,6 @@ class GaussianMixtureFieldParams:
         return self.means.shape[1], self.means.shape[2]
 
 
-def _check_tau(tau: float, *, allow_one: bool = False) -> float:
-    tau = float(tau)
-    hi_ok = tau <= 1.0 if allow_one else tau < 1.0
-    if not (0.0 <= tau and hi_ok) or not math.isfinite(tau):
-        interval = "[0, 1]" if allow_one else "[0, 1)"
-        raise DomainError(f"tau must lie in {interval}, got {tau}")
-    return tau
-
-
 @functools.lru_cache(maxsize=128)
 def _tau_constants(tau: float, scales_sq: bytes, log_weights: bytes, n_dim: int):
     """(log w - n_dim/2 log m2, 2 m2, coef, -m2) with m2 = tau^2 s^2 + (1 - tau)^2.
@@ -191,7 +179,9 @@ def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams
 def _check_points(
     chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams, *, batch_ok: bool
 ) -> tuple[float, np.ndarray]:
-    tau = _check_tau(tau)
+    tau = float(tau)
+    if not (0.0 <= tau < 1.0):  # NaN fails too
+        raise DomainError(f"tau must lie in [0, 1), got {tau}")
     x = np.asarray(chunk, dtype=float)
     if x.ndim not in ((2, 3) if batch_ok else (2,)) or x.shape[-2:] != params.chunk_shape:
         expected = "(H, D) or (B, H, D)" if batch_ok else "(H, D)"
@@ -282,28 +272,3 @@ class GaussianMixtureField(VelocityField):
     def linearize(self, chunk: np.ndarray, tau: float, observation: Any = None):
         return gm_linearize(chunk, tau, self.field_params(observation))
 
-
-def one_step_estimate(chunk: np.ndarray, velocity: np.ndarray, tau: float) -> np.ndarray:
-    """One-step clean estimate: chunk + (1 - tau) * velocity."""
-    tau = _check_tau(tau, allow_one=True)
-    x = np.asarray(chunk, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    if v.shape != x.shape:
-        raise StructuralError(f"velocity shape {v.shape} != chunk shape {x.shape}")
-    return x + (1.0 - tau) * v
-
-
-def pullback_through_estimate(
-    cotangent: np.ndarray, tau: float, velocity_pullback: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """u^T (I + (1 - tau) dv/dx): u pulled back through the one-step clean estimate.
-
-    ``velocity_pullback`` maps u to u^T dv/dx, as returned by
-    ``VelocityField.linearize``.  A non-finite result raises NumericError
-    naming its first bad coordinate.
-    """
-    out = cotangent + (1.0 - tau) * velocity_pullback(cotangent)
-    if not np.isfinite(out).all():
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise NumericError(f"non-finite VJP at coordinate {tuple(int(i) for i in bad)}")
-    return out

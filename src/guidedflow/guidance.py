@@ -6,8 +6,9 @@ step, a correction that pulls the one-step clean estimate toward an
 inpainting target Y (the residual actions of the previous chunk) under a
 soft per-row mask W:
 
-    g = (W-masked residual) pulled back through the clean estimate  (a VJP)
-    step velocity = v + w(tau) * g,    optionally trust-region clipped.
+    u = W (Y - (x + (1-tau) v))              (masked residual of the clean estimate)
+    g = u + (1-tau) u^T dv/dx                 (u pulled back through the estimate)
+    step velocity = v + w(tau) * g,           optionally trust-region clipped.
 
 The weight keeps the data-prior scale sigma_d in the derivation:
 
@@ -37,7 +38,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NumericError, StructuralError
-from .flow import VelocityField, as_chunk, one_step_estimate, pullback_through_estimate
+from .flow import VelocityField, as_chunk
 
 __all__ = [
     "GuidanceMethod",
@@ -68,8 +69,8 @@ class GuidanceConfig:
     protocol.  The weight is clipped at beta = n_steps: the solver scales
     each correction by 1/n, so a clip that grows with n keeps the effective
     correction strength independent of the solver resolution.  Solver step 0
-    is always unguided, because the weight schedules diverge at tau = 0.  The
-    trust-region projection guards its division by ||v|| with 1e-8.
+    is always unguided, because the weight schedules diverge at tau = 0, and
+    the trust-region projection's 1e-8 guard on ||v|| is a constant too.
     The useful range of rho tracks the typical correction-to-velocity norm
     ratio of the deployment; the default suits the shipped benchmark, where
     the trust region should trim transverse spikes rather than bind on
@@ -142,20 +143,22 @@ def pseudoinverse_correction(
     pullback: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Unweighted correction g: the masked residual (Y - clean estimate) pulled
-    back through the one-step clean estimate.
+    back through the one-step clean estimate x + (1 - tau) v.
 
     ``velocity`` and ``pullback`` (u -> u^T dv/dx) come from one
     ``VelocityField.linearize`` call at ``chunk``:
     u = W (Y - (x + (1 - tau) v)) and g = u + (1 - tau) pullback(u).
+    A velocity not shaped like ``chunk`` raises StructuralError, not a broadcast.
     """
-    a1 = one_step_estimate(chunk, velocity, tau)
-    cotangent = inpaint.mask[:, None] * (inpaint.target - a1)
-    return pullback_through_estimate(cotangent, tau, pullback)
+    velocity = np.asarray(velocity, dtype=float)
+    if velocity.shape != chunk.shape:
+        raise StructuralError(f"velocity shape {velocity.shape} != chunk shape {chunk.shape}")
+    one_m = 1.0 - tau
+    cotangent = inpaint.mask[:, None] * (inpaint.target - (chunk + one_m * velocity))
+    return cotangent + one_m * pullback(cotangent)
 
 
-def otr_project(
-    guidance: np.ndarray, velocity: np.ndarray, rho: float, epsilon: float = 1e-8
-) -> np.ndarray:
+def otr_project(guidance: np.ndarray, velocity: np.ndarray, rho: float) -> np.ndarray:
     """Clip the component of ``guidance`` orthogonal to ``velocity``.
 
     Decomposes g into g_par (along v, over the flattened H*D inner product)
@@ -167,11 +170,11 @@ def otr_project(
     This is the unique maximizer of <g_hat, g> over the ball
     ||g_hat - g_par|| <= rho ||v||.  Arrays may be any matching shape; the
     projection is global, not per-row.  rho = inf returns g unchanged.  When
-    ||v|| < epsilon the direction of v is meaningless, so all of g counts as
+    ||v|| < 1e-8 the direction of v is meaningless, so all of g counts as
     transverse and is clipped into the ball ||g_final|| <= rho ||v||: the
     result tends to 0 continuously with v and projecting it again leaves it
-    in place.  epsilon only guards the division by ||v||; it never loosens or
-    tightens the radius.
+    in place.  The 1e-8 constant only guards the division by ||v||; it never
+    loosens or tightens the radius.
     """
     g = np.asarray(guidance, dtype=float)
     v = np.asarray(velocity, dtype=float)
@@ -186,7 +189,7 @@ def otr_project(
     # sqrt(<v, v>) is what np.linalg.norm computes for a 1-D real array.
     v_norm = math.sqrt(v_flat.dot(v_flat))
     radius = rho * v_norm
-    if v_norm < epsilon:
+    if v_norm < 1e-8:
         # math.hypot scales its arguments, so the norm of a tiny g cannot
         # underflow to 0 and slip past the radius test.
         g_norm = math.hypot(*g_flat)

@@ -13,8 +13,6 @@ from guidedflow.flow import (
     as_chunk,
     gm_linearize,
     gm_velocity,
-    one_step_estimate,
-    pullback_through_estimate,
 )
 from guidedflow.guidance import GuidanceConfig, guided_denoise
 
@@ -246,17 +244,10 @@ def test_sampler_moments_match_prior():
 
 
 # ---------------------------------------------------------------------------
-# one_step_estimate
+# the one-step clean estimate x + (1 - tau) v
 
 
-def test_one_step_estimate_endpoints():
-    chunk = np.array([[1.0, 2.0]])
-    vel = np.array([[5.0, -3.0]])
-    assert np.array_equal(one_step_estimate(chunk, vel, 1.0), chunk)
-    assert np.array_equal(one_step_estimate(np.zeros((1, 2)), vel, 0.0), vel)
-
-
-def test_one_step_estimate_near_deterministic_prior():
+def test_clean_estimate_near_deterministic_prior():
     # With s -> 0 the clean estimate collapses to the prior mean on on-path
     # inputs at any tau.
     rng = np.random.default_rng(9)
@@ -267,24 +258,25 @@ def test_one_step_estimate_near_deterministic_prior():
         a1 = mu + s * rng.standard_normal((2, 2))
         eps = rng.standard_normal((2, 2))
         x = tau * a1 + (1 - tau) * eps
-        est = one_step_estimate(x, gm_velocity(x, tau, params), tau)
+        est = x + (1 - tau) * gm_velocity(x, tau, params)
         assert np.abs(est - mu).max() < 1e-6
 
 
-def test_one_step_estimate_shape_error():
-    with pytest.raises(StructuralError):
-        one_step_estimate(np.zeros((2, 2)), np.zeros((1, 2)), 0.5)
-
-
 # ---------------------------------------------------------------------------
-# the VJP through the one-step clean estimate
+# the VJP through the one-step clean estimate: u + (1 - tau) u^T dv/dx
+
+
+class HiddenLinearization(GaussianMixtureField):
+    """The mixture field with its analytic linearization hidden."""
+
+    linearize = VelocityField.linearize
 
 
 def test_estimate_vjp_constant_field_returns_cotangent():
     field = ConstantField(np.array([0.3, -0.1]))
     u = np.random.default_rng(1).standard_normal((3, 2))
-    out = pullback_through_estimate(u, 0.4, field.linearize(np.zeros((3, 2)), 0.4)[1])
-    assert np.array_equal(out, u)
+    pullback = field.linearize(np.zeros((3, 2)), 0.4)[1]
+    assert np.array_equal(u + 0.6 * pullback(u), u)
 
 
 def test_estimate_vjp_scalar_closed_form():
@@ -295,20 +287,11 @@ def test_estimate_vjp_scalar_closed_form():
     u = np.array([[1.7]])
     coef = (tau * s * s - (1 - tau)) / (tau * tau * s * s + (1 - tau) ** 2)
     expected = u * (1 + (1 - tau) * coef)
-    got = pullback_through_estimate(u, tau, field.linearize(np.array([[0.5]]), tau)[1])
+    x = np.array([[0.5]])
+    got = u + (1 - tau) * field.linearize(x, tau)[1](u)
     assert np.allclose(got, expected, rtol=1e-12)
-
-    class Hidden(GaussianMixtureField):
-        linearize = VelocityField.linearize
-
-    fd = pullback_through_estimate(u, tau, Hidden(params).linearize(np.array([[0.5]]), tau)[1])
+    fd = u + (1 - tau) * HiddenLinearization(params).linearize(x, tau)[1](u)
     assert np.allclose(got, fd, rtol=1e-6)
-
-
-class HiddenLinearization(GaussianMixtureField):
-    """The mixture field with its analytic linearization hidden."""
-
-    linearize = VelocityField.linearize
 
 
 @st.composite
@@ -331,9 +314,10 @@ def fd_cases(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(fd_cases())
 def test_estimate_vjp_matches_finite_differences_random_mixtures(case):
+    # The raw pullbacks: the estimate's shared u term would dilute the error.
     params, x, u, tau = case
-    a = pullback_through_estimate(u, tau, GaussianMixtureField(params).linearize(x, tau)[1])
-    n = pullback_through_estimate(u, tau, HiddenLinearization(params).linearize(x, tau)[1])
+    a = GaussianMixtureField(params).linearize(x, tau)[1](u)
+    n = HiddenLinearization(params).linearize(x, tau)[1](u)
     assert np.linalg.norm(a - n) <= 1e-4 * max(np.linalg.norm(n), 1e-8)
 
 
@@ -344,29 +328,12 @@ def test_estimate_vjp_linear_in_cotangent():
     x = rng.standard_normal((1, 1))
     u1, u2 = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
     _, pullback = field.linearize(x, 0.6)
-    lhs = pullback_through_estimate(u1 + 2.0 * u2, 0.6, pullback)
-    rhs = pullback_through_estimate(u1, 0.6, pullback) + 2.0 * pullback_through_estimate(
-        u2, 0.6, pullback
-    )
-    assert np.allclose(lhs, rhs, atol=1e-10)
 
+    def estimate_vjp(u):
+        return u + 0.4 * pullback(u)
 
-def test_estimate_vjp_nonfinite_names_coordinate():
-    class BadField(VelocityField):
-        def evaluate(self, chunk, tau, observation=None):
-            return np.zeros_like(chunk)
-
-        def linearize(self, chunk, tau, observation=None):
-            def pullback(cotangent):
-                out = np.zeros_like(cotangent)
-                out[0, 1] = np.nan
-                return out
-
-            return self.evaluate(chunk, tau), pullback
-
-    _, pullback = BadField().linearize(np.zeros((2, 2)), 0.5)
-    with pytest.raises(NumericError, match=r"\(0, 1\)"):
-        pullback_through_estimate(np.ones((2, 2)), 0.5, pullback)
+    lhs = estimate_vjp(u1 + 2.0 * u2)
+    assert np.allclose(lhs, estimate_vjp(u1) + 2.0 * estimate_vjp(u2), atol=1e-10)
 
 
 def test_gm_velocity_vjp_rejects_bad_cotangent_shape():

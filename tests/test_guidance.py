@@ -6,7 +6,7 @@ import pytest
 
 from guidedflow import flow, guidance, verify
 from guidedflow.envs import Observation, Obstacle, default_variants, make_field
-from guidedflow.errors import DomainError, StructuralError
+from guidedflow.errors import DomainError, NumericError, StructuralError
 from guidedflow.flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
@@ -213,13 +213,13 @@ def test_otr_property_suite():
 
 
 def test_otr_degenerate_velocity_fallback():
-    eps = 1e-8
+    eps = 1e-8  # the projection's guard on ||v||
     g = np.array([3.0, 4.0])
     v = np.array([1e-9, 0.0])
-    out = otr_project(g, v, 0.5, eps)
+    out = otr_project(g, v, 0.5)
     assert np.linalg.norm(out) <= 0.5 * np.linalg.norm(v) + eps
     # exact zero velocity never divides by zero
-    out = otr_project(g, np.zeros(2), 0.5, eps)
+    out = otr_project(g, np.zeros(2), 0.5)
     assert np.all(np.isfinite(out)) and np.linalg.norm(out) <= eps
 
 
@@ -351,6 +351,7 @@ def test_guided_requires_inpaint_target():
 
 
 def test_denoise_error_carries_step_index():
+    # A NaN pullback from tau = 0.3 on is caught by the step-velocity check.
     class ExplodingField(VelocityField):
         def evaluate(self, chunk, tau, observation=None):
             return np.zeros_like(chunk)
@@ -360,7 +361,27 @@ def test_denoise_error_carries_step_index():
             return self.evaluate(chunk, tau), lambda u: np.full_like(u, fill)
 
     spec = InpaintTarget(np.ones((2, 2)), np.ones(2))
-    with pytest.raises(Exception, match="step 3"):
+    for method in ("rtc", "pc", "potr"):
+        with pytest.raises(NumericError, match=r"non-finite velocity at solver step 3$"):
+            guided_denoise(
+                np.zeros((2, 2)), None, ExplodingField(), spec, GuidanceConfig(method=method)
+            )
+
+
+@pytest.mark.parametrize("method", ["rtc", "pc", "potr"])
+def test_guided_step_velocity_shape_mismatch_names_step(method):
+    # A (1, D) velocity for an (H, D) chunk would broadcast through the clean
+    # estimate; the correction rejects it at the first guided step.
+    class RowVelocityField(VelocityField):
+        def evaluate(self, chunk, tau, observation=None):
+            return np.zeros_like(chunk)
+
+        def linearize(self, chunk, tau, observation=None):
+            return np.zeros((1, chunk.shape[1])), lambda u: np.zeros_like(u)
+
+    spec = InpaintTarget(np.ones((3, 2)), np.ones(3))
+    message = r"^denoising step 1: velocity shape \(1, 2\) != chunk shape \(3, 2\)$"
+    with pytest.raises(StructuralError, match=message):
         guided_denoise(
-            np.zeros((2, 2)), None, ExplodingField(), spec, GuidanceConfig(method="pc")
+            np.zeros((3, 2)), None, RowVelocityField(), spec, GuidanceConfig(method=method)
         )

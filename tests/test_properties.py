@@ -287,8 +287,8 @@ def otr_cases(draw):
 @example((np.array([3.0, 4.0]), np.array([1e-9, 0.0]), 0.5))
 def test_otr_constraint_idempotence_and_parallel_part(case):
     g, v, rho = case
-    eps = 1e-8
-    out = otr_project(g, v, rho, eps)
+    eps = 1e-8  # the projection's guard on ||v||
+    out = otr_project(g, v, rho)
     assert out.shape == g.shape and np.all(np.isfinite(out))
     gf, vf, of = g.reshape(-1), v.reshape(-1), out.reshape(-1)
     v_norm = float(np.linalg.norm(vf))
@@ -303,7 +303,7 @@ def test_otr_constraint_idempotence_and_parallel_part(case):
         assert np.linalg.norm(of - g_par) <= rho * v_norm * (1 + 1e-9) + 1e-12 * g_max * gf.size
         dot_scale = gf.size * g_max * float(np.abs(vf).max())
         assert abs(np.dot(of, vf) - np.dot(gf, vf)) <= 1e-12 * dot_scale
-    again = otr_project(out, v, rho, eps)
+    again = otr_project(out, v, rho)
     assert np.allclose(again, out, rtol=1e-12, atol=1e-12 * g_max)
 
 
