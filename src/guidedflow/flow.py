@@ -176,79 +176,62 @@ def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams
     return resp, coef, diff, neg_m2
 
 
-def _check_points(
-    chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams, *, batch_ok: bool
-) -> tuple[float, np.ndarray]:
-    tau = float(tau)
-    if not (0.0 <= tau < 1.0):  # NaN fails too
-        raise DomainError(f"tau must lie in [0, 1), got {tau}")
-    x = np.asarray(chunk, dtype=float)
-    if x.ndim not in ((2, 3) if batch_ok else (2,)) or x.shape[-2:] != params.chunk_shape:
-        expected = "(H, D) or (B, H, D)" if batch_ok else "(H, D)"
-        raise StructuralError(
-            f"chunk shape {x.shape} must be {expected} with (H, D) = {params.chunk_shape}"
-        )
-    if not np.isfinite(x).all():
-        raise NumericError("chunk contains non-finite entries")
-    return tau, x
-
-
-def _velocity_from_terms(resp, coef, diff, params: GaussianMixtureFieldParams):
-    """Component velocities v_c (B, K, N) and their blend v (B, N)."""
-    v_c = params.flat_means + coef[:, None] * diff
-    return v_c, np.add.reduce(resp[:, :, None] * v_c, axis=1)
-
-
 def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
-    """Exact marginal velocity E[x1 - eps | x_tau = chunk] for the mixture prior.
+    """Exact marginal velocity E[x1 - eps | x_tau = chunk]: ``gm_linearize``'s velocity.
 
-    ``chunk`` is one (H, D) chunk or a (B, H, D) batch; the result has its
-    shape.  For a single component (mu, s) this is
+    For a single component (mu, s) this is
     mu + ((tau s^2 - (1-tau)) / (tau^2 s^2 + (1-tau)^2)) * (chunk - tau mu);
     mixture components are blended by posterior responsibilities.
-
-    Raises DomainError at tau = 1, where the path endpoint degenerates.
     """
-    tau, x = _check_points(chunk, tau, params, batch_ok=True)
-    # One (H, D) chunk is a batch of one flat point.
-    resp, coef, diff, _ = _mixture_terms(x.reshape(-1, params.flat_means.shape[1]), tau, params)
-    _, v = _velocity_from_terms(resp, coef, diff, params)
-    return v.reshape(x.shape)
+    return gm_linearize(chunk, tau, params)[0]
 
 
 def gm_linearize(
     chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Mixture velocity at one (H, D) chunk and its exact pullback, from one evaluation.
+    """Mixture velocity at an (H, D) chunk or a (B, H, D) batch and its exact pullback.
 
-    Returns (v, pullback) where v equals ``gm_velocity(chunk, tau, params)``
-    and pullback(u) = u^T (dv/dx).  Writing r_c for the responsibilities,
-    v_c for component velocities, c_c for the per-component affine slope and
+    Returns (v, pullback), both from one evaluation: v shaped like ``chunk``
+    and, row by row for a cotangent u of that shape, pullback(u) =
+    u^T (dv/dx).  Writing r_c for the responsibilities, v_c for component
+    velocities, c_c for the per-component affine slope and
     d_c = -(x - tau mu_c) / m_c^2 for the responsibility log-gradients,
 
         dv/dx = (sum_c r_c c_c) I + sum_c v_c (grad r_c)^T,
         grad r_c = r_c (d_c - sum_k r_k d_k),
 
     so the pullback of u is (sum_c r_c c_c) u + sum_c r_c <u, v_c> (d_c - dbar).
+    The pullback builds these Jacobian pieces only when called.  Raises
+    DomainError at tau = 1, where the path endpoint degenerates.
     """
-    tau, x = _check_points(chunk, tau, params, batch_ok=False)
-    resp, coef, diff, neg_m2 = _mixture_terms(x.reshape(1, -1), tau, params)
-    v_c, v = _velocity_from_terms(resp, coef, diff, params)
-    resp, v_c = resp[0], v_c[0]  # (K,), (K, N)
-    d_c = diff[0] / neg_m2[:, None]  # (K, N); x / -y == -x / y exactly
-    d_spread = d_c - np.add.reduce(resp[:, None] * d_c, axis=0)
-    slope = float(resp.dot(coef))
+    tau = float(tau)
+    if not (0.0 <= tau < 1.0):  # NaN fails too
+        raise DomainError(f"tau must lie in [0, 1), got {tau}")
+    x = np.asarray(chunk, dtype=float)
+    if x.ndim not in (2, 3) or x.shape[-2:] != params.chunk_shape:
+        raise StructuralError(
+            f"chunk shape {x.shape} must be (H, D) or (B, H, D) with (H, D) = {params.chunk_shape}"
+        )
+    if not np.isfinite(x).all():
+        raise NumericError("chunk contains non-finite entries")
+    flat = x.reshape(-1, params.flat_means.shape[1])  # one (H, D) chunk is a batch of one
+    resp, coef, diff, neg_m2 = _mixture_terms(flat, tau, params)
+    v_c = params.flat_means + coef[:, None] * diff  # (B, K, N)
+    v = np.add.reduce(resp[:, :, None] * v_c, axis=1)  # (B, N)
 
     def pullback(cotangent: np.ndarray) -> np.ndarray:
         u = np.asarray(cotangent, dtype=float)
         if u.shape != x.shape:
             raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-        u = u.reshape(-1)
-        u_dot_v = np.add.reduce(u * v_c, axis=1)  # (K,)
-        out = slope * u + np.add.reduce((resp * u_dot_v)[:, None] * d_spread, axis=0)
+        u = u.reshape(v.shape)
+        d_c = diff / neg_m2[:, None]  # (B, K, N); x / -y == -x / y exactly
+        d_spread = d_c - np.add.reduce(resp[:, :, None] * d_c, axis=1, keepdims=True)
+        slope = np.vecdot(resp, coef)  # (B,)
+        u_dot_v = np.add.reduce(u[:, None, :] * v_c, axis=2)  # (B, K)
+        out = slope[:, None] * u + np.add.reduce((resp * u_dot_v)[:, :, None] * d_spread, axis=1)
         return out.reshape(x.shape)
 
-    return v[0].reshape(x.shape), pullback
+    return v.reshape(x.shape), pullback
 
 
 class GaussianMixtureField(VelocityField):

@@ -65,12 +65,13 @@ class GuidanceConfig:
     Immutable: construction resolves ``method`` once into ``guided`` (not
     naive), ``weight_sigma`` (1.0 for rtc, else sigma_d) and ``radius`` (rho
     for potr, else inf), so rtc is pc at sigma_d = 1 and pc is potr at
-    rho = inf by construction.  The rest of the step is fixed by the
-    protocol.  The weight is clipped at beta = n_steps: the solver scales
-    each correction by 1/n, so a clip that grows with n keeps the effective
-    correction strength independent of the solver resolution.  Solver step 0
-    is always unguided, because the weight schedules diverge at tau = 0, and
-    the trust-region projection's 1e-8 guard on ||v|| is a constant too.
+    rho = inf by construction; ``weights[k]`` is solver step k's weight.
+    The rest of the step is fixed by the protocol.  The weight is clipped at
+    beta = n_steps: the solver scales each correction by 1/n, so a clip that
+    grows with n keeps the effective correction strength independent of the
+    solver resolution.  Solver step 0 is always unguided (weight 0.0),
+    because the weight schedules diverge at tau = 0, and the trust-region
+    projection's 1e-8 guard on ||v|| is a constant too.
     The useful range of rho tracks the typical correction-to-velocity norm
     ratio of the deployment; the default suits the shipped benchmark, where
     the trust region should trim transverse spikes rather than bind on
@@ -95,6 +96,9 @@ class GuidanceConfig:
         set_field("guided", self.method is not GuidanceMethod.NAIVE)
         set_field("weight_sigma", 1.0 if self.method is GuidanceMethod.RTC else self.sigma_d)
         set_field("radius", self.rho if self.method is GuidanceMethod.POTR else math.inf)
+        n = self.n_steps
+        guided_weights = (pc_weight(k / n, self.weight_sigma, float(n)) for k in range(1, n))
+        set_field("weights", (0.0, *guided_weights))
 
 
 @dataclass
@@ -214,9 +218,9 @@ def guided_denoise(
     step x + v / n.  Unless the method is NAIVE or k = 0 (where the weight
     is undefined), the step instead linearizes the field, so the velocity
     and its pullback come from one evaluation; computes the pseudoinverse
-    correction g, weights it by w_pc at the config's ``weight_sigma``
-    clipped at beta = n, trust-region-projects it at the config's
-    ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
+    correction g, weights it by the config's ``weights[k]`` (w_pc at its
+    ``weight_sigma``, clipped at beta = n), trust-region-projects it at the
+    config's ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
     the identical loop with guidance short-circuited, so baselines are
     bit-comparable.  ``noise`` is validated once; a step velocity of the
     wrong shape raises StructuralError and a non-finite one NumericError,
@@ -238,10 +242,9 @@ def guided_denoise(
             velocity, pullback = field.linearize(x, tau, observation)
             try:
                 g = pseudoinverse_correction(x, tau, velocity, inpaint, pullback)
-                w = pc_weight(tau, config.weight_sigma, float(n))
-                g_final = otr_project(w * g, velocity, config.radius)
-            except (StructuralError, DomainError, NumericError) as err:
-                raise type(err)(f"denoising step {k}: {err}") from err
+                g_final = otr_project(config.weights[k] * g, velocity, config.radius)
+            except StructuralError as err:
+                raise StructuralError(f"denoising step {k}: {err}") from err
             step_velocity = velocity + g_final
         step_velocity = np.asarray(step_velocity, dtype=float)
         if step_velocity.shape != x.shape:

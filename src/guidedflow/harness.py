@@ -194,7 +194,7 @@ class ExperimentConfig:
         return [(_VARIANT_REGISTRY[name], weight) for name, weight in self.variants]
 
 
-@dataclass
+@dataclass(slots=True)
 class ResultRow:
     method: str
     delay: int
@@ -335,7 +335,7 @@ def _cell_cube(rows: Sequence[ResultRow], variant_weights: dict):
     cube[method, suite, delay] is nan where a cell or value is missing; env_steps averages
     successful rows.  A stable sort keeps each cell's rows in order for _run_sums."""
     n = len(rows)
-    cells = defaultdict(lambda: len(cells))  # cell key -> its rank by first appearance
+    cells = defaultdict(itertools.count().__next__)  # cell key -> its rank by first appearance
     codes = np.fromiter(map(cells.__getitem__, map(_CELL_KEY, rows)), np.intp, n)
     columns = itertools.chain(*(map(get, rows) for get in _METRIC_GETTERS))
     block = np.fromiter(columns, float, len(ALL_METRICS) * n).reshape(-1, n)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import fields
@@ -162,6 +163,18 @@ def test_summary_identical_rows_zero_delta():
     assert summary["vs_rtc"]["potr"]["l2_max"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_summarize_leaves_no_reference_cycle():
+    # Garbage that only the cyclic collector frees would pile up between collections.
+    rows = synthetic_rows("rtc", 1.0) + synthetic_rows("potr", 2.0)
+    gc.collect()
+    gc.disable()
+    try:
+        summarize(rows, {"unimodal": 1})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_summary_without_rtc_warns_and_omits_delta():
     rows = synthetic_rows("potr", 1.0)
     with pytest.warns(UserWarning):
@@ -319,14 +332,20 @@ def test_empty_grid_rejected(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 4, 10])
 def test_guided_step_clips_weight_at_n_and_leaves_step_zero_unguided(monkeypatch, n):
-    calls = []
-    weight = guidance.pc_weight
-    def recording_weight(tau, sigma_d, beta):
-        calls.append((tau, beta))
-        return weight(tau, sigma_d, beta)
-
-    monkeypatch.setattr(guidance, "pc_weight", recording_weight)
     config = ExperimentConfig(n_steps=n, output_dir="unused").guidance_for("potr")
+    expected = [guidance.pc_weight(k / n, config.weight_sigma, float(n)) for k in range(1, n)]
+    assert config.weights == (0.0, *expected)
+    if n > 1:  # the first guided step's weight is clipped at beta = n, a float
+        assert type(config.weights[1]) is float and config.weights[1] == float(n)
+
+    # guided_denoise reads each guided step's weight from the config, once.
+    read = []
+    class RecordingWeights(tuple):
+        def __getitem__(self, k):
+            read.append(k)
+            return tuple.__getitem__(self, k)
+
+    object.__setattr__(config, "weights", RecordingWeights(config.weights))
     field = make_field(default_variants()[0])
     linearized = []
     linearize = field.linearize
@@ -337,9 +356,8 @@ def test_guided_step_clips_weight_at_n_and_leaves_step_zero_unguided(monkeypatch
     rng = np.random.default_rng(3)
     spec = InpaintTarget(rng.standard_normal((10, 2)), np.linspace(1.0, 0.0, 10))
     guided_denoise(rng.standard_normal((10, 2)), obs, field, spec, config)
-    # Only the guided steps linearize, and each asks for its weight once.
-    assert linearized == [tau for tau, _ in calls] == [k / n for k in range(1, n)]
-    assert all(type(beta) is float and beta == float(n) for _, beta in calls)
+    # Only the guided steps linearize, and each reads its own weight.
+    assert linearized == [k / n for k in read] == [k / n for k in range(1, n)]
 
 
 def test_config_validation_errors():

@@ -25,7 +25,7 @@ from guidedflow.envs import (
     default_variants,
     make_env,
 )
-from guidedflow.errors import NumericError
+from guidedflow.errors import NumericError, StructuralError
 from guidedflow.flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
@@ -124,12 +124,13 @@ def test_linearize_equals_evaluate_and_vjp(case, conditional_case):
 
 
 # ---------------------------------------------------------------------------
-# the batched velocity == the velocity of each row == linearize's velocity
+# the batched velocity and pullback == those of each row, bit for bit
 
 
 @st.composite
 def mixture_batches(draw):
-    """A random mixture with K <= 3 and H*D <= 40, a (B, H, D) batch and a time."""
+    """A random mixture with K <= 3 and H*D <= 40, a (B, H, D) batch, a time and
+    a (B, H, D) cotangent."""
     k = draw(st.integers(1, 3))
     h = draw(st.integers(1, 20))
     d = draw(st.integers(1, 40 // h))
@@ -142,19 +143,24 @@ def mixture_batches(draw):
         scales=draw(hnp.arrays(float, k, elements=unit_floats(0.05, 2.0))),
     )
     x = spread * draw(hnp.arrays(float, (b, h, d), elements=unit_floats(-2.0, 2.0)))
-    return params, x, draw(unit_floats(0.0, 0.99))
+    tau = draw(unit_floats(0.0, 0.99))
+    return params, x, tau, draw(hnp.arrays(float, (b, h, d), elements=unit_floats()))
 
 
 @PROPERTY_SETTINGS
 @given(mixture_batches())
 def test_batched_velocity_equals_per_row_and_linearize(case):
-    params, x, tau = case
-    batched = gm_velocity(x, tau, params)
-    assert batched.shape == x.shape
-    for row, v_row in zip(x, batched):
-        v = gm_velocity(row, tau, params)
-        assert np.array_equal(v_row, v)
-        assert np.array_equal(gm_linearize(row, tau, params)[0], v)
+    params, x, tau, u = case
+    batched, pullback = gm_linearize(x, tau, params)
+    assert batched.shape == x.shape and np.array_equal(gm_velocity(x, tau, params), batched)
+    g = pullback(u)
+    for row, v_row, u_row, g_row in zip(x, batched, u, g):
+        v, row_pullback = gm_linearize(row, tau, params)
+        assert np.array_equal(v_row, v) and np.array_equal(g_row, row_pullback(u_row))
+    # A cotangent must have the batch's shape: no row broadcasts, none is dropped.
+    for bad in (u[0], u[:, None], np.concatenate((u, u))):
+        with pytest.raises(StructuralError):
+            pullback(bad)
 
 
 # ---------------------------------------------------------------------------
