@@ -7,6 +7,11 @@ initial noise at issue time; the resulting chunk arrives d steps later,
 conditioned on a d-step-stale observation, and execution resumes at row d of
 the new chunk (the rows consumed while inference was in flight).
 
+A schedule runs only if d <= s <= H - d (so d <= H / 2 under s = max(d, 1)),
+and then is a function of the step t alone: a request goes out when
+t % s == 0 and swaps in at t + d; step t executes row t of the first chunk
+for t < d, else row d + (t - d) % s of the active one.
+
 The inpainting target for a request is the tail of the chunk active at issue
 time, shifted by s: Y_i = prev[s + i] for i < H - s and zero past the
 overlap.  The soft mask is 1 over the rows guaranteed to execute before the
@@ -21,18 +26,18 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ScheduleOverrun, StructuralError
+from .errors import StructuralError
 from .flow import VelocityField
 from .guidance import GuidanceConfig, GuidanceMethod, InpaintTarget, guided_denoise
 
 __all__ = [
     "BoundaryEvent",
-    "PendingRequest",
     "ChunkScheduleState",
     "EpisodeTrace",
     "ChunkExecutor",
     "build_inpaint_target",
     "build_soft_mask",
+    "check_schedule",
     "DEFAULT_MASK_DECAY",
 ]
 
@@ -41,6 +46,15 @@ __all__ = [
 # to replicate the previous chunk's realized noise, which inflates the
 # correction and degrades boundary continuity instead of improving it.
 DEFAULT_MASK_DECAY = 0.15
+
+
+def check_schedule(horizon: int, delay: int, replan_every: Optional[int] = None) -> int:
+    """The replan step s, max(d, 1) unless given; StructuralError unless d <= s <= H - d."""
+    d = int(delay)
+    s = max(d, 1) if replan_every is None else int(replan_every)
+    if not (0 <= d <= s and 1 <= s <= horizon - d):
+        raise StructuralError(f"schedule d={d}, s={s}, H={horizon} needs 1 <= s, d <= s <= H - d")
+    return s
 
 
 def build_inpaint_target(prev_chunk: np.ndarray, s: int) -> np.ndarray:
@@ -86,22 +100,12 @@ class BoundaryEvent:
 
 
 @dataclass
-class PendingRequest:
-    """A regeneration request in flight: everything frozen at issue time."""
-
-    issued_at: int
-    observation: Any
-    noise: np.ndarray
-    inpaint: InpaintTarget
-
-
-@dataclass
 class ChunkScheduleState:
-    """Rolling execution state of the chunk schedule."""
+    """The chunk being executed, and the request in flight, if any: its
+    observation, noise and inpainting target, all frozen at issue time."""
 
     active_chunk: np.ndarray
-    exec_index: int
-    pending: Optional[PendingRequest]
+    pending: Optional[tuple[Any, np.ndarray, InpaintTarget]] = None
 
 
 @dataclass
@@ -112,7 +116,6 @@ class EpisodeTrace:
     events: list[BoundaryEvent]
     success: bool
     env_steps: int
-    schedule_overrun: bool = False
 
 
 class ChunkExecutor:
@@ -140,14 +143,11 @@ class ChunkExecutor:
         self.delay = int(delay)
         self.rng = rng if rng is not None else np.random.default_rng()
         self.horizon = int(horizon)
-        self.replan_every = (
-            max(self.delay, 1) if replan_every is None else int(replan_every)
-        )
-        # Every request shares this read-only soft mask; building it checks d and s.
+        self.replan_every = check_schedule(self.horizon, self.delay, replan_every)
+        # Every request shares this read-only soft mask; building it checks the decay.
         self.mask = build_soft_mask(self.horizon, self.delay, self.replan_every, mask_decay)
         self.mask.flags.writeable = False
         self.state: Optional[ChunkScheduleState] = None
-        self._last_action: Optional[np.ndarray] = None
         self._actions: list[np.ndarray] = []
 
     def reset(self) -> None:
@@ -157,8 +157,7 @@ class ChunkExecutor:
         first = guided_denoise(
             noise, obs, self.field, None, replace(self.config, method=GuidanceMethod.NAIVE)
         )
-        self.state = ChunkScheduleState(active_chunk=first, exec_index=0, pending=None)
-        self._last_action = None
+        self.state = ChunkScheduleState(active_chunk=first)
         self._actions = []
 
     def step(self) -> tuple[np.ndarray, Optional[BoundaryEvent]]:
@@ -166,71 +165,46 @@ class ChunkExecutor:
         st = self.state
         if st is None:
             raise StructuralError("call reset() before step()")
-        t = self.env.step_count
-        event = None
-        if st.pending is not None and t - st.pending.issued_at >= self.delay:
-            event = self._swap(t)
-        # A request is issued only when none is in flight; under s = max(d, 1)
-        # the previous one has always just arrived.
-        if t % self.replan_every == 0 and st.pending is None:
-            self._issue(t)
-            if self.delay == 0:
+        t, d, s = self.env.step_count, self.delay, self.replan_every
+        # The request issued at t - d arrives now; when d = s it is swapped in
+        # before the next one is issued, which inpaints against it.
+        arrives = t >= d and (t - d) % s == 0
+        event = self._swap(t) if arrives and d > 0 else None
+        if t % s == 0:
+            self._issue()
+            if d == 0:
                 event = self._swap(t)
-        if st.exec_index >= self.horizon:
-            raise ScheduleOverrun(
-                f"chunk exhausted at env step {t} before the pending chunk arrived "
-                f"(d={self.delay}, s={self.replan_every}, H={self.horizon})"
-            )
-        action = np.clip(st.active_chunk[st.exec_index], -1.0, 1.0)
+        action = np.clip(st.active_chunk[t if t < d else d + (t - d) % s], -1.0, 1.0)
         self.env.step(action)
-        st.exec_index += 1
-        self._last_action = action
         self._actions.append(action)
         return action, event
 
     def run(self) -> EpisodeTrace:
-        """Step until the environment reports done; overruns flag a failed episode."""
+        """Step until the environment reports done."""
         self.reset()
         events: list[BoundaryEvent] = []
-        overrun = False
         while not self.env.done:
-            try:
-                _, event = self.step()
-            except ScheduleOverrun:
-                overrun = True
-                break
+            _, event = self.step()
             if event is not None:
                 events.append(event)
-        actions = (
-            np.array(self._actions) if self._actions else np.zeros((0, self.env.action_dim))
-        )
-        return EpisodeTrace(
-            actions=actions,
-            events=events,
-            success=bool(self.env.success) and not overrun,
-            env_steps=self.env.step_count,
-            schedule_overrun=overrun,
-        )
+        actions = np.array(self._actions).reshape(-1, self.env.action_dim)
+        return EpisodeTrace(actions, events, bool(self.env.success), self.env.step_count)
 
-    def _issue(self, t: int) -> None:
+    def _issue(self) -> None:
         obs = self.env.observe()
         noise = self.rng.standard_normal((self.horizon, self.env.action_dim))
         target = build_inpaint_target(self.state.active_chunk, self.replan_every)
-        self.state.pending = PendingRequest(
-            issued_at=t, observation=obs, noise=noise, inpaint=InpaintTarget(target, self.mask)
-        )
+        self.state.pending = (obs, noise, InpaintTarget(target, self.mask))
 
     def _swap(self, t: int) -> Optional[BoundaryEvent]:
         st = self.state
-        req = st.pending
-        chunk = guided_denoise(req.noise, req.observation, self.field, req.inpaint, self.config)
-        st.active_chunk = chunk
-        st.exec_index = self.delay
+        obs, noise, inpaint = st.pending
+        st.active_chunk = guided_denoise(noise, obs, self.field, inpaint, self.config)
         st.pending = None
-        if self._last_action is None:
+        if not self._actions:
             return None
         return BoundaryEvent(
             env_step=t,
-            last_action_old=self._last_action,
-            first_action_new=np.clip(chunk[st.exec_index], -1.0, 1.0),
+            last_action_old=self._actions[-1],
+            first_action_new=np.clip(st.active_chunk[self.delay], -1.0, 1.0),
         )

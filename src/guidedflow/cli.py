@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: sweep, grid-sigma, grid-rho, summarize, verify.  Exit codes:
-0 success, 1 configuration error, 2 episode-failure threshold exceeded,
-3 verification-suite failure.
+0 success, 1 configuration error (among them a delay d > horizon / 2, which
+breaks the schedule's d <= s <= H - d at s = max(d, 1)), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -64,16 +64,8 @@ def _print_table(table: list[dict], header: list[str]) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = run_sweep(config)
-    total = len(result.rows)
-    print(f"wrote {total} rows to {result.rows_path}")
+    print(f"wrote {len(result.rows)} rows to {result.rows_path}")
     print(f"wrote summary to {result.summary_path}")
-    if result.overrun_count / total > config.overrun_fail_fraction:
-        print(
-            f"error: {result.overrun_count}/{total} episodes overran the schedule "
-            f"(> {config.overrun_fail_fraction:.0%})",
-            file=sys.stderr,
-        )
-        return 2
     return 0
 
 

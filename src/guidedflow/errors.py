@@ -18,4 +18,4 @@ class ConfigError(ValueError):
 
 
 class ScheduleOverrun(RuntimeError):
-    """An action chunk was exhausted before its replacement arrived."""
+    """Not raised: a schedule that would exhaust a chunk fails at construction instead."""

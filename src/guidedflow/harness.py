@@ -1,9 +1,10 @@
 """Experiment orchestration: delay sweeps, grid searches, persistence.
 
 Every (method x delay x variant x seed) cell runs one closed-loop episode
-with replan step s = max(d, 1).  Seeds are derived from (seed_base, delay,
-variant, episode index) only, so all methods consume identical environment
-and denoising noise streams and comparisons are paired.
+with replan step s = max(d, 1), which runs only for d <= horizon / 2.  Seeds
+are derived from (seed_base, delay, variant, episode index) only, so all
+methods consume identical environment and denoising noise streams and
+comparisons are paired.
 
 Outputs are a one-row-per-episode CSV (fixed header) plus a JSON summary
 holding per-method delay-1-5 means of all six metrics, percentage deltas vs
@@ -28,7 +29,7 @@ from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
-from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask
+from .chunking import DEFAULT_MASK_DECAY, ChunkExecutor, build_soft_mask, check_schedule
 from .envs import ConditionalGMField, OraclePolicyParams, TaskVariant, default_variants, make_env
 from .errors import ConfigError, StructuralError
 from .guidance import GuidanceConfig, GuidanceMethod
@@ -113,7 +114,6 @@ class ExperimentConfig:
     # task-count imbalance between a small easy suite and a large diverse one.
     variants: tuple[tuple[str, int], ...] = (("unimodal", 1), ("bimodal", 9))
     output_dir: str = "results"
-    overrun_fail_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         # An integer setting must not truncate silently: 2.0 counts as 2, 2.5 is an error.
@@ -131,9 +131,6 @@ class ExperimentConfig:
             raise ConfigError("at least one method is required")
         if len(self.delays) == 0:
             raise ConfigError("at least one delay is required")
-        for d in self.delays:
-            if not (0 <= d < self.horizon):
-                raise ConfigError(f"delay {d} must satisfy 0 <= d < horizon={self.horizon}")
         if self.episodes_per_cell < 1:
             raise ConfigError("episodes_per_cell must be >= 1")
         if self.seed_base < 0:
@@ -151,14 +148,14 @@ class ExperimentConfig:
                     f"unknown variant {name!r}; choose from {sorted(_VARIANT_REGISTRY)}"
                 )
         self.variants = tuple(zip(names, _suite_weights(names, dict(self.variants))))
-        if not (0.0 <= self.overrun_fail_fraction <= 1.0):
-            raise ConfigError("overrun_fail_fraction must lie in [0, 1]")
         # Fail here, before any output exists, rather than in the first episode.
         try:
             self.guidance_for(self.methods[0])
             self.oracle_for(_VARIANT_REGISTRY[names[0]])
             self.env_for(_VARIANT_REGISTRY[names[0]], None)
             build_soft_mask(self.horizon, 0, 1, self.mask_decay)
+            for d in self.delays:
+                check_schedule(self.horizon, d)
         except StructuralError as err:
             raise ConfigError(str(err)) from err
 
@@ -234,7 +231,6 @@ _ROW_COLUMNS = [(attrgetter(name), _ROW_FIELD_FORMATS.get(t)) for name, t in _RO
 class SweepResult:
     rows: list[ResultRow]
     summary: dict
-    overrun_count: int
     rows_path: Optional[Path] = None
     summary_path: Optional[Path] = None
 
@@ -274,15 +270,13 @@ def run_cell_episode(
     return row, trace
 
 
-def _run_cell(config: ExperimentConfig, method: str, delay: int) -> tuple[list[ResultRow], int]:
-    """Every episode of one (method, delay) cell, over all variants: (rows, overrun count)."""
-    rows, overruns = [], 0
-    for v_index, (variant, _) in enumerate(config.variant_objects()):
-        for episode in range(config.episodes_per_cell):
-            row, trace = run_cell_episode(config, method, delay, variant, v_index, episode)
-            rows.append(row)
-            overruns += int(trace.schedule_overrun)
-    return rows, overruns
+def _run_cell(config: ExperimentConfig, method: str, delay: int) -> list[ResultRow]:
+    """The rows of every episode of one (method, delay) cell, over all variants."""
+    return [
+        run_cell_episode(config, method, delay, variant, v_index, episode)[0]
+        for v_index, (variant, _) in enumerate(config.variant_objects())
+        for episode in range(config.episodes_per_cell)
+    ]
 
 
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
@@ -296,13 +290,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
             probe.unlink()
         except OSError as err:
             raise OSError(f"output directory {out_dir} is not writable: {err}") from err
-    rows: list[ResultRow] = []
-    overruns = 0
-    for method in config.methods:
-        for delay in config.delays:
-            cell_rows, cell_overruns = _run_cell(config, method, delay)
-            rows += cell_rows
-            overruns += cell_overruns
+    rows = [row for m in config.methods for d in config.delays for row in _run_cell(config, m, d)]
     rows.sort(key=ResultRow.sort_key)
     summary = summarize(rows, dict(config.variants))
     rows_path = summary_path = None
@@ -311,7 +299,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
         summary_path = out_dir / "summary.json"
         write_rows(rows, rows_path)
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return SweepResult(rows, summary, overruns, rows_path, summary_path)
+    return SweepResult(rows, summary, rows_path, summary_path)
 
 
 def _run_sums(values: np.ndarray, lengths: list[int]) -> np.ndarray:
@@ -431,7 +419,8 @@ def _grid_search(
         raise ConfigError(f"{param} grid must be nonempty")
     table = []
     for value in grid:
-        rows, _ = _run_cell(replace(config, **{param: float(value)}), method, delay)
+        # delays=(delay,) has ExperimentConfig check that the grid's delay can run.
+        rows = _run_cell(replace(config, delays=(delay,), **{param: float(value)}), method, delay)
         _, _, _, weights, cube = _cell_cube(rows, dict(config.variants))
         agg = _masked_mean(cube[0, :, 0].T, np.array(weights, dtype=float))
         # The header names the parameter, then ALL_METRICS in order.

@@ -118,17 +118,18 @@ def test_mask_bounds_and_errors():
 # executor schedule
 
 
-def test_swap_steps_follow_delay_cadence():
+def test_swap_steps_follow_delay_cadence(monkeypatch):
+    requests = record_requests(monkeypatch)
     ex = run_executor("potr", 3, max_steps=13)
     ex.reset()
     swaps = []
     while not ex.env.done:
-        _, event = ex.step()
+        action, event = ex.step()
         if event is not None:
             swaps.append(event.env_step)
+            # a freshly swapped chunk resumes at row d
+            assert np.array_equal(action, np.clip(requests[-1][1][3], -1.0, 1.0))
     assert swaps == [3, 6, 9, 12]
-    # a freshly swapped chunk resumes at row d
-    assert ex.state.exec_index >= 3
 
 
 def test_delay_zero_swaps_every_step():
@@ -181,12 +182,12 @@ def test_hard_frozen_continuity_beats_naive(monkeypatch):
         assert mean_prefix_error(method) < naive_err
 
 
-def test_schedule_overrun_flags_failure():
-    # d=9 with H=10 passes construction (d < H) but needs rows beyond the
-    # horizon before the next chunk arrives.
-    ex = run_executor("naive", 9, max_steps=40)
-    trace = ex.run()
-    assert trace.schedule_overrun and not trace.success
+@pytest.mark.parametrize("delay, replan_every", [(9, None), (6, None), (3, 2), (3, 8)])
+def test_executor_rejects_schedules_that_cannot_run(delay, replan_every):
+    # s < d would issue a request before the last one arrives; d + s > H
+    # would exhaust a chunk before its replacement arrives.
+    with pytest.raises(StructuralError, match=rf"d={delay}, s=\d+, H=10"):
+        run_executor("naive", delay, replan_every=replan_every)
 
 
 def test_executor_validation():
@@ -223,7 +224,7 @@ def test_pending_request_freezes_observation():
     ex = run_executor("potr", 3, seed=13)
     ex.reset()
     ex.step()
-    pending = ex.state.pending
-    assert pending is not None and pending.issued_at == 0
+    observation, noise, inpaint = ex.state.pending
+    assert noise.shape == inpaint.target.shape == (10, 2)
     moved = ex.env.position
-    assert not np.array_equal(pending.observation.position, moved)
+    assert not np.array_equal(observation.position, moved)

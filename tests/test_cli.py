@@ -1,4 +1,6 @@
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,7 @@ def test_config_error_exit_code(tmp_path):
         "sigma_cond = -1", "sigma_cond = nan", "ctrl_frac = 2",
         "action_noise_std = -1", "action_noise_std = nan", "max_steps = 0", "max_steps = -5",
         "goal_tolerance = nan", "goal_tolerance = -1", "overrun_fail_fraction = nan",
+        "overrun_fail_fraction = 0.25", "delays = 6", "horizon = 3",
         "methods = potr,potr", "delays = 1,1", "variants = unimodal:9.7",
         "seed_base = -1", "sigma_d = inf",
         "beta = 10", "epsilon = 1e-08", "guide_first_step = false",
@@ -118,11 +121,39 @@ def test_malformed_row_file_fails_at_the_boundary(tmp_path, capsys, record):
     assert not out_file.exists()
 
 
-@pytest.mark.filterwarnings("ignore:no rtc rows present")
-def test_overrun_threshold_exit_code(tmp_path):
-    cfg = write_config(tmp_path, extra="")
-    code = main(["sweep", "--config", str(cfg), "--delays", "9", "--methods", "naive"])
-    assert code == 2
+@pytest.mark.parametrize("delay", ["6", "9"])
+def test_unschedulable_delay_fails_before_output(tmp_path, capsys, delay):
+    # Under s = max(d, 1) a delay above H / 2 = 5 would exhaust a chunk
+    # before its replacement arrives.
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--delays", delay, "--methods", "naive"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error:")
+    assert f"d={delay}, s={delay}, H=10" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["grid-sigma", "grid-rho"])
+def test_grid_delay_that_cannot_run_fails_before_output(tmp_path, capsys, command):
+    # The grids run at delay 3, which needs horizon >= 6 under s = 3.
+    cfg = write_config(tmp_path, extra="horizon = 5\n")
+    assert main([command, "--config", str(cfg), "--grid", "0.5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "d=3, s=3, H=5" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # An earlier import of guidedflow.__main__ would make runpy warn.
+    monkeypatch.delitem(sys.modules, "guidedflow.__main__", raising=False)
+    for argv, code in ((["--help"], 0), (["sweep", "--delays", "9"], 1)):
+        monkeypatch.setattr(sys, "argv", ["guidedflow", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("guidedflow", run_name="__main__")
+        assert exit_info.value.code == code
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_subcommands(tmp_path, capsys):

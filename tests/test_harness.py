@@ -138,12 +138,12 @@ def test_unwritable_output_fails_before_any_episode(tmp_path):
         run_sweep(config)
 
 
-@pytest.mark.filterwarnings("ignore:no rtc rows present")
-def test_overruns_recorded_not_raised(tmp_path):
-    config = small_config(tmp_path, methods=("naive",), delays=(9,), episodes_per_cell=2)
-    result = run_sweep(config, write=False)
-    assert result.overrun_count == 2
-    assert all(not r.success for r in result.rows)
+def test_delays_above_half_the_horizon_are_config_errors():
+    # s = max(d, 1) runs only while d + s <= H.
+    assert ExperimentConfig(delays=(5,), horizon=10).delays == (5,)
+    for delays in ((6,), (0, 1, 9)):
+        with pytest.raises(ConfigError, match=f"d={delays[-1]}, s={delays[-1]}, H=10"):
+            ExperimentConfig(delays=delays, horizon=10)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,8 @@ def test_sigma_grid_schema_and_reduction(tmp_path):
     # so the pc grid row equals an rtc sweep on the same seeds.
     from guidedflow.harness import _run_cell, replace
 
-    rtc_rows, _ = _run_cell(replace(config, sigma_d=1.0), "rtc", 3)
-    pc_rows, _ = _run_cell(replace(config, sigma_d=1.0), "pc", 3)
+    rtc_rows = _run_cell(replace(config, sigma_d=1.0), "rtc", 3)
+    pc_rows = _run_cell(replace(config, sigma_d=1.0), "pc", 3)
     for a, b in zip(rtc_rows, pc_rows):
         assert (a.delay, a.suite, a.seed) == (b.delay, b.suite, b.seed)
         assert a.success == b.success and a.env_steps == b.env_steps
@@ -304,8 +304,8 @@ def test_rho_grid_schema_and_inf_sentinel(tmp_path):
     assert [list(r.keys()) for r in table] == [RHO_GRID_HEADER] * 2
     from guidedflow.harness import _run_cell, replace
 
-    pc_rows, _ = _run_cell(config, "pc", 3)
-    potr_rows, _ = _run_cell(replace(config, rho=math.inf), "potr", 3)
+    pc_rows = _run_cell(config, "pc", 3)
+    potr_rows = _run_cell(replace(config, rho=math.inf), "potr", 3)
     for a, b in zip(pc_rows, potr_rows):
         assert (a.delay, a.suite, a.seed) == (b.delay, b.suite, b.seed)
         assert (a.success, a.env_steps, a.l2_mean, a.l2_max, a.max_acc, a.max_jerk) == (
@@ -446,7 +446,7 @@ def test_config_file_every_field_default(tmp_path):
     path = tmp_path / "defaults.cfg"
     lines = [f"{f.name} = {_config_text(getattr(defaults, f.name))}" for f in fields(defaults)]
     path.write_text("\n".join(lines) + "\n")
-    assert len(lines) == 19
+    assert len(lines) == 18
     assert load_config(path) == defaults
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from guidedflow import flow
+from guidedflow.chunking import ChunkExecutor
 from guidedflow.envs import (
     ConditionalGMField,
     Observation,
@@ -595,3 +596,84 @@ def test_row_file_round_trip(rows):
         write_rows(back, second)
         assert back == sorted(rows, key=ResultRow.sort_key)
         assert second.read_bytes() == first.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the chunk schedule is a function of (t, d, s)
+
+
+class ZeroField(VelocityField):
+    """v = 0, so a naive chunk is its noise bit for bit."""
+
+    def evaluate(self, chunk, tau, observation=None):
+        return np.zeros_like(chunk)
+
+
+class CountingEnv:
+    """A 1-D environment that only counts its steps and is done after ``length``."""
+
+    action_dim = 1
+    success = False
+
+    def __init__(self, length):
+        self.length, self.step_count = length, 0
+
+    @property
+    def done(self):
+        return self.step_count >= self.length
+
+    def observe(self):
+        return self.step_count
+
+    def step(self, action):
+        self.step_count += 1
+
+
+class CodedNoise:
+    """Noise whose row i of the k-th draw holds (64 k + i) / 2^20, inside the clip."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def standard_normal(self, shape):
+        rows = 64 * self.draws + np.arange(shape[0], dtype=float)
+        self.draws += 1
+        return np.broadcast_to(rows[:, None] / 2**20, shape).copy()
+
+
+@st.composite
+def schedules(draw):
+    """A schedule that can run, an episode length and a (d, s) pair to construct at H."""
+    h = draw(st.integers(1, 50))
+    d = draw(st.integers(0, h // 2))
+    s = draw(st.integers(max(d, 1), h - d))
+    other = (draw(st.integers(0, h)), draw(st.integers(0, h + 1)))
+    return h, d, s, draw(st.integers(1, 3 * h)), other
+
+
+@PROPERTY_SETTINGS
+@given(schedules())
+def test_schedule_matches_the_closed_form(case):
+    h, d, s, length, (other_d, other_s) = case
+    config = GuidanceConfig(method="naive", n_steps=1)
+    rng = CodedNoise()
+    trace = ChunkExecutor(
+        CountingEnv(length), ZeroField(), config, delay=d, horizon=h, replan_every=s, rng=rng
+    ).run()
+    steps = range(length)
+    # Swaps land d steps after each issue at t % s == 0; one at t = 0 (d = 0) has no event.
+    swaps = [t for t in steps if t >= max(d, 1) and (t - d) % s == 0]
+    assert [e.env_step for e in trace.events] == swaps
+    # Step t executes row t of the reset chunk (draw 0) before the first swap, then
+    # row d + (t - d) % s of the chunk drawn for the latest request.
+    codes = [divmod(round(a * 2**20), 64) for a in trace.actions[:, 0]]
+    assert codes == [(0, t) if t < d else (1 + (t - d) // s, d + (t - d) % s) for t in steps]
+    assert rng.draws == 1 + math.ceil(length / s)
+    # Construction accepts exactly the schedules with d <= s <= H - d and s >= 1.
+    runs = 0 <= other_d <= other_s <= h - other_d and other_s >= 1
+    try:
+        ChunkExecutor(CountingEnv(1), ZeroField(), config, other_d, h, replan_every=other_s)
+    except StructuralError as err:
+        assert not runs, err
+    else:
+        assert runs
