@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import NumericError, StructuralError
 from .flow import GaussianMixtureField, GaussianMixtureFieldParams
 
 __all__ = [
@@ -84,6 +84,11 @@ class PointMassEnv:
         self.action_noise_std = float(action_noise_std)
         if self.max_steps < 1:
             raise StructuralError(f"max_steps must be >= 1, got {self.max_steps}")
+        # step() then reads a non-finite position as the action's fault
+        if not (np.isfinite(self.position).all() and np.isfinite(self.goal).all()):
+            raise StructuralError("start and goal must be finite")
+        if not math.isfinite(self.dynamics_gain):
+            raise StructuralError("dynamics_gain must be finite")
         if not (0.0 < self.goal_tolerance < math.inf):
             raise StructuralError("goal_tolerance must be positive and finite")
         if not (0.0 <= self.action_noise_std < math.inf):
@@ -103,14 +108,29 @@ class PointMassEnv:
         )
 
     def step(self, action) -> tuple[bool, bool]:
-        """Apply one clipped action; returns (done, success)."""
-        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        delta = self.dynamics_gain * a
+        """Apply one clipped (D,) action; returns (done, success).
+
+        A done episode, an action of another shape and a NaN action fail
+        here, and leave the position unchanged.
+        """
+        if self.done:
+            raise StructuralError(f"the episode ended at step {self.step_count}; make a new env")
+        a = np.asarray(action, dtype=float)
+        if a.shape != self.position.shape:
+            raise StructuralError(f"action must have shape {self.position.shape}, got {a.shape}")
+        delta = self.dynamics_gain * np.clip(a, -1.0, 1.0)
         if self.action_noise_std > 0.0:
             delta = delta + self.rng.normal(0.0, self.action_noise_std, self.action_dim)
-        self.position = self.position + delta
+        position = self.position + delta
+        gap = position - self.goal
+        # np.linalg.norm's own arithmetic, bit for bit.  Start, goal, gain and
+        # noise are finite, so it is NaN exactly when the action holds a NaN.
+        distance = math.sqrt(gap.dot(gap))
+        if math.isnan(distance):
+            raise NumericError(f"action {a.tolist()} gives a non-finite position")
+        self.position = position
         self.step_count += 1
-        if np.linalg.norm(self.position - self.goal) <= self.goal_tolerance:
+        if distance <= self.goal_tolerance:
             self.success = True
         self.done = self.success or self.step_count >= self.max_steps
         return self.done, self.success
@@ -152,39 +172,55 @@ def _perp(v: np.ndarray) -> np.ndarray:
 
 
 def _controller_plans(obs: Observation, params: OraclePolicyParams, sides) -> np.ndarray:
-    """Roll a saturating proportional controller forward for all modes at once.
+    """Roll a saturating proportional controller forward once per mode.
 
-    Returns (modes, H, D) plans, one per entry of ``sides``; the modes are
-    rolled together as one (modes, D) state.  side = 0 heads straight for the
-    goal.  side = +-1 steers toward a goal lane shifted laterally by
-    (radius + clearance) until the rollout crosses the plane through the
-    obstacle center, then toward the true goal.  The lane target keeps the
-    rollout moving (a via point on the plane itself would be a stalling
-    attractor for a proportional controller).
+    Returns (modes, H, D) plans, one per entry of ``sides``.  side = 0 heads
+    straight for the goal.  side = +-1 steers toward a goal lane shifted
+    laterally by (radius + clearance) until the rollout crosses the plane
+    through the obstacle center, then toward the true goal.  The lane target
+    keeps the rollout moving (a via point on the plane itself would be a
+    stalling attractor for a proportional controller).
+
+    Each plan is rolled on Python floats: the state is a handful of numbers,
+    so numpy's per-call dispatch would be the whole cost.  The action and
+    state updates are the vectorised rollout's expressions in its order, so
+    they round the same.  The sign test rounds both products, which is exact
+    when the obstacle lies on a coordinate axis from the goal, as in the
+    shipped variants.  The loop costs time per plan, which pays while one
+    observation's prior has a few plans.
     """
-    horizon, gain = params.horizon, params.gain
-    sides = np.asarray(sides, dtype=float)
-    x = np.tile(obs.position, (sides.size, 1))  # (modes, D)
-    lane = None
-    if obs.obstacle is not None and np.any(sides != 0.0):
+    horizon, gain, frac = params.horizon, params.gain, params.ctrl_frac
+    goal = obs.goal.tolist()
+    lanes = [None] * len(sides)
+    if obs.obstacle is not None and any(side != 0.0 for side in sides):
         axis = obs.goal - obs.obstacle.center
         norm = np.linalg.norm(axis)
         if norm > 1e-12:
             axis = axis / norm
-            offset = sides[:, None] * (obs.obstacle.radius + params.clearance) * _perp(axis)
-            lane = obs.goal + offset
-    plans = np.empty((sides.size, horizon, x.shape[1]))
-    for i in range(horizon):
-        target = obs.goal
-        if lane is not None:
-            # np.vecdot rounds as a per-mode np.dot, so the sign test is the
-            # single-mode rollout's bit for bit; np.sum(row * axis) may not be.
-            behind = np.vecdot(x - obs.obstacle.center, axis) < 0.0
-            target = np.where(behind[:, None], lane, obs.goal)
-        a = np.minimum(np.maximum(params.ctrl_frac * (target - x) / gain, -1.0), 1.0)
-        plans[:, i] = a
-        x = x + gain * a
-    return plans
+            offset = np.asarray(sides, dtype=float)[:, None] * (
+                obs.obstacle.radius + params.clearance
+            ) * _perp(axis)
+            lanes = (obs.goal + offset).tolist()
+            (c0, c1), (a0, a1) = obs.obstacle.center.tolist(), axis.tolist()
+    flat = []
+    for lane in lanes:
+        x = obs.position.tolist()
+        for _ in range(horizon):
+            target = goal
+            if lane is not None and (x[0] - c0) * a0 + (x[1] - c1) * a1 < 0.0:
+                target = lane
+            moved = []
+            for t, xi in zip(target, x):
+                a = frac * (t - xi) / gain
+                # np.minimum(np.maximum(a, -1), 1): a NaN passes through.
+                if a < -1.0:
+                    a = -1.0
+                elif a > 1.0:
+                    a = 1.0
+                flat.append(a)
+                moved.append(xi + gain * a)
+            x = moved
+    return np.array(flat).reshape(len(lanes), horizon, obs.position.shape[0])
 
 
 def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianMixtureFieldParams:
@@ -201,7 +237,7 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
             )
         means = _controller_plans(obs, params, [1.0, -1.0])
     else:
-        means = _controller_plans(obs, params, np.zeros(params.modes))
+        means = _controller_plans(obs, params, [0.0] * params.modes)
     return GaussianMixtureFieldParams(
         weights=np.full(params.modes, 1.0 / params.modes),
         means=means,

@@ -12,7 +12,7 @@ from guidedflow.envs import (
     make_env,
     make_field,
 )
-from guidedflow.errors import StructuralError
+from guidedflow.errors import NumericError, StructuralError
 from guidedflow.flow import GaussianMixtureFieldParams
 from guidedflow.guidance import GuidanceConfig, InpaintTarget
 
@@ -85,6 +85,46 @@ def test_env_clips_actions():
     env = PointMassEnv(start=(0.0, 0.0), goal=(9.0, 0.0), action_noise_std=0.0)
     env.step(np.array([10.0, 0.0]))
     assert env.position[0] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("action", [np.zeros((1, 2)), 0.5, np.zeros(3), np.zeros(0)])
+def test_env_step_rejects_action_shape(action):
+    env = PointMassEnv(start=(0.0, 0.0), goal=(1.0, 0.0), action_noise_std=0.0)
+    with pytest.raises(StructuralError, match=r"shape \(2,\)"):
+        env.step(action)
+    assert env.position.shape == (2,) and env.step_count == 0
+
+
+def test_env_step_rejects_nan_action_and_keeps_position():
+    env = PointMassEnv(start=(0.25, -0.5), goal=(1.0, 0.0), rng=np.random.default_rng(0))
+    with pytest.raises(NumericError):
+        env.step(np.array([np.nan, 0.0]))
+    assert np.array_equal(env.position, [0.25, -0.5]) and env.step_count == 0
+    env.step(np.array([np.inf, -np.inf]))  # infinite actions clip to the box
+    assert np.all(np.isfinite(env.position))
+
+
+@pytest.mark.parametrize("goal", [(5.0, 0.0), (0.0, 0.0)], ids=["timed_out", "succeeded"])
+def test_env_step_after_done_raises(goal):
+    env = PointMassEnv(start=(0.0, 0.0), goal=goal, max_steps=2, action_noise_std=0.0)
+    while not env.done:
+        env.step(np.zeros(2))
+    state = (env.position.copy(), env.step_count, env.success)
+    # a timed-out episode must not turn into a success by stepping on
+    with pytest.raises(StructuralError, match="ended"):
+        env.step(np.array([1.0, 0.0]))
+    assert np.array_equal(env.position, state[0]) and (env.step_count, env.success) == state[1:]
+
+
+def test_env_goal_distance_is_linalg_norm():
+    # A goal tolerance of exactly the np.linalg.norm distance after the step
+    # must count as reached: the env's distance rounds the same.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        start, goal = rng.uniform(-1.0, 1.0, (2, 2))
+        reached = float(np.linalg.norm(start + 0.1 * np.full(2, 0.5) - goal))
+        env = PointMassEnv(start, goal, goal_tolerance=reached, action_noise_std=0.0)
+        assert env.step(np.full(2, 0.5)) == (True, True)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +255,14 @@ def mixture_with(weights=(0.5, 0.5), scales=(0.4, 0.4), mean_entry=0.0):
         lambda: OraclePolicyParams(sigma_cond=INF),
         lambda: OraclePolicyParams(gain=NAN),
         lambda: OraclePolicyParams(clearance=NAN),
+        lambda: PointMassEnv(start=(NAN, 0.0), goal=(1.0, 0.0)),
+        lambda: PointMassEnv(start=(0.0, 0.0), goal=(INF, 0.0)),
+        lambda: PointMassEnv(start=(0.0, 0.0), goal=(1.0, 0.0), dynamics_gain=NAN),
     ],
     ids=[
         "weight-nan", "scale-nan", "scale-inf", "mean-nan", "mean-inf", "mean-neg-inf",
         "mask-nan", "sigma_cond-nan", "sigma_cond-inf", "gain-nan", "clearance-nan",
+        "env-start-nan", "env-goal-inf", "env-gain-nan",
     ],
 )
 def test_nonfinite_parameters_rejected_at_construction(build):

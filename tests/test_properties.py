@@ -22,6 +22,7 @@ from guidedflow.envs import (
     Observation,
     Obstacle,
     OraclePolicyParams,
+    _controller_plans,
     conditional_field,
     default_variants,
     make_env,
@@ -89,6 +90,8 @@ def conditional_points(draw):
     h = draw(st.integers(1, 10))
     env = make_env(variant, rng=None, action_noise_std=0.0)
     for action in draw(hnp.arrays(float, (draw(st.integers(0, 20)), 2), elements=unit_floats())):
+        if env.done:
+            break
         env.step(action)
     field = ConditionalGMField(OraclePolicyParams(modes=variant.modes, horizon=h))
     x = draw(hnp.arrays(float, (h, 2), elements=unit_floats(-2.0, 2.0)))
@@ -216,29 +219,78 @@ def test_denoise_after_tau_cache_eviction_is_bit_identical(method):
 
 
 # ---------------------------------------------------------------------------
-# the joint (modes, D) controller rollout == one rollout per mode
+# the per-plan float rollout == the vectorised (modes, D) rollout it replaced,
+# and each mode's plan == its rollout on its own
 
 
-def reference_plan(obs, params, side):
-    """One mode's rollout, written out on its own (D,) state."""
-    x = obs.position.copy()
-    rows = np.zeros((params.horizon, x.shape[0]))
+def vectorized_plans(obs, params, sides):
+    """The (modes, D) numpy rollout that the per-plan float loop replaced; the reference.
+
+    Its sign test is np.vecdot, which may round the 2-D dot as
+    fma(x1, a1, x0 * a0): numpy 2.4.6 does so on x86-64 CPUs with FMA.  The
+    float loop rounds both products.  For an axis-aligned obstacle every
+    product is exact, so the two agree bit for bit.  For a tilted plane a
+    point within about an ulp of it may pick the other lane; none of 10,000
+    random tilted geometries did, but that bounds nothing, so tilted planes
+    are checked against each mode's own rollout instead.
+    """
+    sides = np.asarray(sides, dtype=float)
+    x = np.tile(obs.position, (sides.size, 1))
     lane = None
-    if side != 0.0 and obs.obstacle is not None:
+    if obs.obstacle is not None and np.any(sides != 0.0):
         axis = obs.goal - obs.obstacle.center
         norm = np.linalg.norm(axis)
         if norm > 1e-12:
             axis = axis / norm
             perp = np.array([-axis[1], axis[0]])
-            lane = obs.goal + side * (obs.obstacle.radius + params.clearance) * perp
+            lane = obs.goal + sides[:, None] * (obs.obstacle.radius + params.clearance) * perp
+    plans = np.empty((sides.size, params.horizon, x.shape[1]))
     for i in range(params.horizon):
         target = obs.goal
-        if lane is not None and np.dot(x - obs.obstacle.center, axis) < 0.0:
-            target = lane
-        a = np.clip(params.ctrl_frac * (target - x) / params.gain, -1.0, 1.0)
-        rows[i] = a
+        if lane is not None:
+            behind = np.vecdot(x - obs.obstacle.center, axis) < 0.0
+            target = np.where(behind[:, None], lane, obs.goal)
+        a = np.minimum(np.maximum(params.ctrl_frac * (target - x) / params.gain, -1.0), 1.0)
+        plans[:, i] = a
         x = x + params.gain * a
-    return rows
+    return plans
+
+
+@st.composite
+def axis_aligned_plans(draw):
+    """An observation whose obstacle lies on a coordinate axis from the goal, and the sides.
+
+    Obstacles (and so lanes) come at D = 2, as conditional_field plans them;
+    there the start is put on the obstacle's plane one time in two, else mostly behind it.
+    """
+    horizon, d = draw(st.sampled_from([(10, 2), (50, 7)]))
+    modes = draw(st.sampled_from([1, 2]))
+    goal = draw(hnp.arrays(float, d, elements=unit_floats(-0.5, 0.5)))
+    position = draw(hnp.arrays(float, d, elements=unit_floats(-0.5, 0.5)))
+    obstacle, sides = None, [0.0] * modes
+    if d == 2:
+        center, k, sign = goal.copy(), draw(st.integers(0, 1)), draw(st.sampled_from([1.0, -1.0]))
+        center[k] -= sign * draw(unit_floats(0.05, 0.5))
+        # the axis is sign * e_k; put the start mostly behind the plane
+        position[k] = center[k] - sign * draw(st.just(0.0) | unit_floats(-0.2, 0.5))
+        obstacle = Obstacle(center=center, radius=draw(unit_floats(0.01, 0.5)))
+        sides = [1.0, -1.0] if modes == 2 else [draw(st.sampled_from([1.0, -1.0, 0.0]))]
+    obs = Observation(position=position, goal=goal, obstacle=obstacle)
+    params = OraclePolicyParams(
+        modes=modes,
+        horizon=horizon,
+        gain=draw(unit_floats(0.05, 1.0)),
+        ctrl_frac=draw(unit_floats(0.05, 1.0)),
+        clearance=draw(unit_floats(0.0, 0.2)),
+    )
+    return obs, params, sides
+
+
+@PROPERTY_SETTINGS
+@given(axis_aligned_plans())
+def test_plans_equal_the_vectorized_rollout(case):
+    obs, params, sides = case
+    assert np.array_equal(_controller_plans(obs, params, sides), vectorized_plans(obs, params, sides))
 
 
 # A small box and large gains keep many actions off the [-1, 1] clip, where
@@ -267,7 +319,8 @@ def test_joint_plan_equals_per_mode_rollouts(
         modes=modes, horizon=horizon, gain=gain, ctrl_frac=ctrl_frac, clearance=clearance
     )
     sides = [1.0, -1.0] if modes == 2 and obstacle is not None else [0.0] * modes
-    expected = np.stack([reference_plan(obs, params, side) for side in sides])
+    # Tilted planes included: rolled with its siblings or alone, a mode picks the same lanes.
+    expected = np.concatenate([_controller_plans(obs, params, [side]) for side in sides])
     assert np.array_equal(conditional_field(obs, params).means, expected)
 
 
