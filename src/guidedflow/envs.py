@@ -17,13 +17,14 @@ the same homotopy class.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NumericError, StructuralError
-from .flow import GaussianMixtureField, GaussianMixtureFieldParams
+from .flow import GaussianMixtureField, GaussianMixtureFieldParams, MixtureComponents
 
 __all__ = [
     "Obstacle",
@@ -118,7 +119,7 @@ class PointMassEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != self.position.shape:
             raise StructuralError(f"action must have shape {self.position.shape}, got {a.shape}")
-        delta = self.dynamics_gain * np.clip(a, -1.0, 1.0)
+        delta = self.dynamics_gain * np.minimum(np.maximum(a, -1.0), 1.0)  # np.clip's bits
         if self.action_noise_std > 0.0:
             delta = delta + self.rng.normal(0.0, self.action_noise_std, self.action_dim)
         position = self.position + delta
@@ -136,7 +137,7 @@ class PointMassEnv:
         return self.done, self.success
 
 
-@dataclass
+@dataclass(frozen=True)
 class OraclePolicyParams:
     """Conditional chunk prior: sigma_cond is the per-entry scale sigma_{d|o}.
 
@@ -145,7 +146,9 @@ class OraclePolicyParams:
     planned action closes; values below 1 keep plan tails correcting instead
     of collapsing to zero at the goal, which is what makes stale plans
     survivable under delay.  clearance is the standoff added to the obstacle
-    radius for the two skirting modes.
+    radius for the two skirting modes.  Immutable: construction also
+    derives ``components``, the prior's equal weights and scales sigma_cond,
+    which every observation's prior shares.
     """
 
     sigma_cond: float = 0.4
@@ -156,14 +159,21 @@ class OraclePolicyParams:
     clearance: float = 0.04
 
     def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise StructuralError("modes must be >= 1")
+        for name in ("modes", "horizon"):  # 2.0 counts as 2; 2.5, 0 and NaN do not
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 1 <= value < math.inf
+                    and value == int(value)):
+                raise StructuralError(f"{name} must be >= 1 and an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # the instance is frozen
         if not (0.0 < self.sigma_cond < math.inf and 0.0 < self.gain < math.inf):
             raise StructuralError("sigma_cond and gain must be positive and finite")
         if not (0.0 < self.ctrl_frac <= 1.0):
             raise StructuralError("ctrl_frac must lie in (0, 1]")
         if not math.isfinite(self.clearance):
             raise StructuralError("clearance must be finite")
+        object.__setattr__(self, "components", MixtureComponents(
+            np.full(self.modes, 1.0 / self.modes), np.full(self.modes, self.sigma_cond)
+        ))
 
 
 def _perp(v: np.ndarray) -> np.ndarray:
@@ -228,7 +238,7 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
 
     Mode means are controller plans toward the goal (obstacle-skirting on
     opposite sides for modes = 2), entries clipped to [-1, 1]; all modes get
-    equal weight and scale sigma_cond.
+    equal weight and scale sigma_cond, from ``params.components``.
     """
     if params.modes == 2 and obs.obstacle is not None:
         if obs.position.shape != (2,):
@@ -238,11 +248,7 @@ def conditional_field(obs: Observation, params: OraclePolicyParams) -> GaussianM
         means = _controller_plans(obs, params, [1.0, -1.0])
     else:
         means = _controller_plans(obs, params, [0.0] * params.modes)
-    return GaussianMixtureFieldParams(
-        weights=np.full(params.modes, 1.0 / params.modes),
-        means=means,
-        scales=np.full(params.modes, params.sigma_cond),
-    )
+    return GaussianMixtureFieldParams.from_components(params.components, means)
 
 
 class ConditionalGMField(GaussianMixtureField):
@@ -251,6 +257,8 @@ class ConditionalGMField(GaussianMixtureField):
     Recomputes the mixture parameters when the observation object changes;
     within one denoising run the same frozen Observation is passed at every
     step, so the one-slot cache makes conditioning cost per run, not per step.
+    The weights and scales are validated and derived once, with ``params``,
+    so a new observation costs its plans and a check of its means.
     """
 
     def __init__(self, params: OraclePolicyParams):

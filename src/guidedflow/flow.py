@@ -35,6 +35,7 @@ from .errors import DomainError, NumericError, StructuralError
 
 __all__ = [
     "VelocityField",
+    "MixtureComponents",
     "GaussianMixtureFieldParams",
     "GaussianMixtureField",
     "as_chunk",
@@ -99,30 +100,22 @@ class VelocityField(abc.ABC):
 
 
 @dataclass(frozen=True)
-class GaussianMixtureFieldParams:
-    """Isotropic Gaussian-mixture prior over clean chunks.
+class MixtureComponents:
+    """Mixture weights (K,), positive and summing to 1, and isotropic scales (K,).
 
-    weights: (K,) positive, summing to 1; means: (K, H, D); scales: (K,)
-    per-component isotropic standard deviations.  Immutable: construction
-    also derives ``log_weights``, ``scales_sq`` and the (K, H*D)
-    ``flat_means`` that the mixture terms read.
+    Validated once, with read-only ``log_weights``, ``scales_sq`` and the
+    per-tau cache key ``tau_key``, so that many priors can share them.
     """
 
     weights: np.ndarray
-    means: np.ndarray
     scales: np.ndarray
 
     def __post_init__(self) -> None:
         set_field = functools.partial(object.__setattr__, self)  # the instance is frozen
-        set_field("weights", np.atleast_1d(np.asarray(self.weights, dtype=float)))
-        set_field("means", np.asarray(self.means, dtype=float))
-        set_field("scales", np.atleast_1d(np.asarray(self.scales, dtype=float)))
+        set_field("weights", np.atleast_1d(np.array(self.weights, dtype=float)))
+        set_field("scales", np.atleast_1d(np.array(self.scales, dtype=float)))
         if self.weights.size < 1:
             raise StructuralError("mixture must have at least one component")
-        if self.means.ndim != 3 or self.means.shape[0] != self.weights.size:
-            raise StructuralError(
-                f"means must be (K, H, D) with K={self.weights.size}, got {self.means.shape}"
-            )
         if self.scales.shape != self.weights.shape:
             raise StructuralError("scales and weights must have matching length")
         # Written so that NaN fails every test: the solver trusts these values.
@@ -130,11 +123,48 @@ class GaussianMixtureFieldParams:
             raise StructuralError("component scales must be positive and finite")
         if not ((self.weights > 0.0).all() and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise StructuralError("component weights must be positive and sum to 1")
-        if not np.isfinite(self.means).all():
-            raise StructuralError("component means must be finite")
         set_field("log_weights", np.log(self.weights))
         set_field("scales_sq", self.scales**2)
-        set_field("flat_means", self.means.reshape(self.weights.size, -1))
+        for arr in (self.weights, self.scales, self.log_weights, self.scales_sq):
+            arr.flags.writeable = False
+        set_field("tau_key", (self.scales_sq.tobytes(), self.log_weights.tobytes()))
+
+
+@dataclass(frozen=True)
+class GaussianMixtureFieldParams:
+    """Isotropic Gaussian-mixture prior over clean chunks.
+
+    weights: (K,) positive, summing to 1; means: (K, H, D) with H, D >= 1;
+    scales: (K,) per-component isotropic standard deviations.  Immutable:
+    construction validates them as ``MixtureComponents`` and the means, and
+    derives the (K, H*D) ``flat_means`` that the mixture terms read.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    scales: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._set_means(MixtureComponents(self.weights, self.scales), self.means)
+
+    @classmethod
+    def from_components(cls, components: MixtureComponents, means) -> GaussianMixtureFieldParams:
+        """The prior with these (K, H, D) means; only the means are validated."""
+        prior = object.__new__(cls)
+        prior._set_means(components, means)
+        return prior
+
+    def _set_means(self, components: MixtureComponents, means) -> None:
+        means = np.asarray(means, dtype=float)
+        k = components.weights.size
+        if means.ndim != 3 or means.shape[0] != k or 0 in means.shape[1:]:
+            raise StructuralError(
+                f"means must be (K, H, D) with K={k} and H, D >= 1, got {means.shape}"
+            )
+        if not np.isfinite(means).all():
+            raise StructuralError("component means must be finite")
+        # weights, scales, log_weights, scales_sq and tau_key, shared; the instance is frozen
+        self.__dict__.update(components.__dict__, means=means, flat_means=means.reshape(k, -1))
 
     @property
     def chunk_shape(self) -> tuple[int, int]:
@@ -142,17 +172,25 @@ class GaussianMixtureFieldParams:
 
 
 @functools.lru_cache(maxsize=128)
-def _tau_constants(tau: float, scales_sq: bytes, log_weights: bytes, n_dim: int):
-    """(log w - n_dim/2 log m2, 2 m2, coef, -m2) with m2 = tau^2 s^2 + (1 - tau)^2.
+def _tau_constants(tau: float, tau_key: tuple[bytes, bytes], n_dim: int):
+    """(tau, log w - n_dim/2 log m2, 2 m2, coef, coef, -m2) with m2 = tau^2 s^2 + (1 - tau)^2.
 
-    These (K,) terms depend only on tau and the prior, and a controller
-    denoises at the same taus with the same prior on every regeneration.
+    These depend only on tau and the components, which a controller repeats
+    on every regeneration.  They come shaped as they are used: tau 0-d, then
+    (1, K), (1, K), (K,), (1, K, n_dim) and (1, K, n_dim), like the mixture
+    terms.  A Python-float operand or a broadcast costs numpy about as much
+    as the arithmetic on a (10, 2) chunk; same-shape and 0-d operands give
+    the same bits without it.
     """
-    s2 = np.frombuffer(scales_sq)
+    s2, log_w = (np.frombuffer(b)[None, :] for b in tau_key)
     one_m = 1.0 - tau
     m2 = tau * tau * s2 + one_m * one_m
-    log_norm = np.frombuffer(log_weights) - 0.5 * n_dim * np.log(m2)
-    out = (log_norm, 2.0 * m2, (tau * s2 - one_m) / m2, -m2)
+    coef = (tau * s2 - one_m) / m2
+    full = np.ones((1, 1, n_dim))
+    out = (
+        np.array(tau), log_w - 0.5 * n_dim * np.log(m2), 2.0 * m2, coef[0],
+        coef[:, :, None] * full, -m2[:, :, None] * full,
+    )
     for arr in out:
         arr.flags.writeable = False  # every cache hit shares these arrays
     return out
@@ -161,19 +199,17 @@ def _tau_constants(tau: float, scales_sq: bytes, log_weights: bytes, n_dim: int)
 def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams):
     """Responsibilities and per-component terms at a batch of flat points.
 
-    x: (B, N) with N = H*D.  Returns (resp (B, K), coef (K,), diff (B, K, N),
-    -m2 (K,)).  Responsibilities are computed in log space with
-    max-subtraction so that far-apart components do not underflow.
+    x: (B, N) with N = H*D.  Returns (resp (B, K), coef (K,), coef (1, K, N),
+    diff (B, K, N), -m2 (1, K, N)).  Responsibilities are computed in log
+    space with max-subtraction so that far-apart components do not underflow.
     """
-    log_norm, two_m2, coef, neg_m2 = _tau_constants(
-        tau, params.scales_sq.tobytes(), params.log_weights.tobytes(), x.shape[1]
-    )
+    tau, log_norm, two_m2, coef, coef_n, neg_m2 = _tau_constants(tau, params.tau_key, x.shape[1])
     diff = x[:, None, :] - tau * params.flat_means  # (B, K, N)
     logp = log_norm - np.add.reduce(diff * diff, axis=2) / two_m2  # (B, K)
     logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
     resp = np.exp(logp)
     resp /= np.add.reduce(resp, axis=1, keepdims=True)
-    return resp, coef, diff, neg_m2
+    return resp, coef, coef_n, diff, neg_m2
 
 
 def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
@@ -208,15 +244,15 @@ def gm_linearize(
     if not (0.0 <= tau < 1.0):  # NaN fails too
         raise DomainError(f"tau must lie in [0, 1), got {tau}")
     x = np.asarray(chunk, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-2:] != params.chunk_shape:
+    if x.ndim not in (2, 3) or x.shape[-2:] != params.means.shape[1:]:
         raise StructuralError(
             f"chunk shape {x.shape} must be (H, D) or (B, H, D) with (H, D) = {params.chunk_shape}"
         )
     if not np.isfinite(x).all():
         raise NumericError("chunk contains non-finite entries")
     flat = x.reshape(-1, params.flat_means.shape[1])  # one (H, D) chunk is a batch of one
-    resp, coef, diff, neg_m2 = _mixture_terms(flat, tau, params)
-    v_c = params.flat_means + coef[:, None] * diff  # (B, K, N)
+    resp, coef, coef_n, diff, neg_m2 = _mixture_terms(flat, tau, params)
+    v_c = params.flat_means + coef_n * diff  # (B, K, N)
     v = np.add.reduce(resp[:, :, None] * v_c, axis=1)  # (B, N)
 
     def pullback(cotangent: np.ndarray) -> np.ndarray:
@@ -224,7 +260,7 @@ def gm_linearize(
         if u.shape != x.shape:
             raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
         u = u.reshape(v.shape)
-        d_c = diff / neg_m2[:, None]  # (B, K, N); x / -y == -x / y exactly
+        d_c = diff / neg_m2  # (B, K, N); x / -y == -x / y exactly
         d_spread = d_c - np.add.reduce(resp[:, :, None] * d_c, axis=1, keepdims=True)
         slope = np.vecdot(resp, coef)  # (B,)
         u_dot_v = np.add.reduce(u[:, None, :] * v_c, axis=2)  # (B, K)

@@ -46,6 +46,25 @@ def record_requests(monkeypatch) -> list:
     return records
 
 
+def test_executed_actions_are_np_clip_bit_for_bit(monkeypatch):
+    # Rows hold -0.0 and entries past the bounds, some near the float limit: executing row t
+    # must give np.clip's bits, and so must each boundary event's new action.
+    chunk = np.array([
+        [-0.0, 0.0], [1.5, -1.5], [-2.0, 0.25], [1e308, -1e308], [1.0, -1.0],
+        [0.999, -0.999], [-1e-300, 1e300], [np.nextafter(1.0, 2.0), -0.5], [0.5, -0.0], [3.0, 1.0],
+    ])
+    monkeypatch.setattr(chunking, "guided_denoise", lambda *args: chunk.copy())
+    for delay, replan_every, rows in ((0, 10, range(10)), (1, 1, [0] + [1] * 9)):
+        ex = run_executor("naive", delay, replan_every=replan_every, max_steps=10, tol=1e-9)
+        ex.env.goal = np.array([50.0, 50.0])
+        ex.reset()
+        for row in rows:
+            action, event = ex.step()
+            assert action.tobytes() == np.clip(chunk[row], -1.0, 1.0).tobytes()
+            if event is not None:
+                assert event.first_action_new.tobytes() == np.clip(chunk[delay], -1.0, 1.0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # inpainting target
 

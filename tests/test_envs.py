@@ -3,6 +3,7 @@ import pytest
 
 from guidedflow.chunking import ChunkExecutor
 from guidedflow.envs import (
+    ConditionalGMField,
     Observation,
     Obstacle,
     OraclePolicyParams,
@@ -85,6 +86,13 @@ def test_env_clips_actions():
     env = PointMassEnv(start=(0.0, 0.0), goal=(9.0, 0.0), action_noise_std=0.0)
     env.step(np.array([10.0, 0.0]))
     assert env.position[0] == pytest.approx(0.1)
+
+
+def test_env_step_clips_like_np_clip():
+    for action in ([3.0, -0.0], [-np.inf, 0.25], [1.0, -1.0000000000000002]):
+        env = PointMassEnv(start=(0.0, 0.0), goal=(9.0, 9.0), action_noise_std=0.0)
+        env.step(np.array(action))
+        assert env.position.tobytes() == (np.zeros(2) + 0.1 * np.clip(action, -1.0, 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("action", [np.zeros((1, 2)), 0.5, np.zeros(3), np.zeros(0)])
@@ -174,6 +182,40 @@ def test_conditional_field_cache_tracks_observation():
     assert field.field_params(obs2) is not p1
 
 
+@pytest.mark.parametrize("variant", default_variants(), ids=lambda v: v.name)
+@pytest.mark.parametrize("horizon, sigma_cond", [(10, 0.4), (3, 0.05), (50, 1.3)])
+def test_conditional_prior_equals_one_built_from_scratch(variant, horizon, sigma_cond):
+    oracle = OraclePolicyParams(modes=variant.modes, horizon=horizon, sigma_cond=sigma_cond)
+    field = ConditionalGMField(oracle)
+    env = make_env(variant, rng=np.random.default_rng(1))
+    priors = []
+    for _ in range(3):
+        obs = env.observe()
+        prior = field.field_params(obs)
+        k = variant.modes
+        scratch = GaussianMixtureFieldParams(np.full(k, 1.0 / k), prior.means.copy(), np.full(k, sigma_cond))
+        for name in ("weights", "scales", "log_weights", "scales_sq", "flat_means", "means"):
+            got, want = getattr(prior, name), getattr(scratch, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert np.array_equal(prior.means, conditional_field(obs, oracle).means)
+        priors.append(prior)
+        env.step(np.array([1.0, 0.3]))
+    # Every observation's prior shares the field's read-only component constants.
+    for name in ("weights", "scales", "log_weights", "scales_sq"):
+        shared = getattr(oracle.components, name)
+        assert all(getattr(p, name) is shared for p in priors) and not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 0.5
+    assert all(p.tau_key is oracle.components.tau_key for p in priors)
+
+
+def test_conditional_prior_rejects_nonfinite_plans():
+    field = ConditionalGMField(OraclePolicyParams(modes=1))
+    obs = Observation(position=np.array([np.nan, 0.0]), goal=np.array([1.0, 0.0]))
+    with pytest.raises(StructuralError, match="finite"):
+        field.field_params(obs)
+
+
 # ---------------------------------------------------------------------------
 # benchmark-level invariants
 
@@ -233,6 +275,21 @@ def test_oracle_params_validation():
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("name", ["modes", "horizon"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, NAN, INF, "2", None])
+def test_oracle_params_require_integer_modes_and_horizon(name, value):
+    with pytest.raises(StructuralError, match=f"{name} must be >= 1 and an integer"):
+        OraclePolicyParams(**{name: value})
+
+
+def test_oracle_params_take_integral_floats():
+    params = OraclePolicyParams(modes=2.0, horizon=4.0)
+    assert (params.modes, params.horizon) == (2, 4)
+    assert type(params.modes) is int and type(params.horizon) is int
+    obs = Observation(position=np.zeros(2), goal=np.array([1.0, 0.0]))
+    assert conditional_field(obs, params).means.shape == (2, 4, 2)
 
 
 def mixture_with(weights=(0.5, 0.5), scales=(0.4, 0.4), mean_entry=0.0):

@@ -9,6 +9,7 @@ from guidedflow.errors import DomainError, NumericError, StructuralError
 from guidedflow.flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
+    MixtureComponents,
     VelocityField,
     as_chunk,
     gm_linearize,
@@ -201,6 +202,15 @@ def test_gm_velocity_domain_and_structure_errors():
         GaussianMixtureFieldParams(np.array([0.6, 0.5]), np.zeros((2, 1, 1)), np.array([1.0, 1.0]))
     with pytest.raises(StructuralError):
         GaussianMixtureFieldParams(np.array([1.0]), np.zeros((1, 1, 1)), np.array([0.0]))
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 2), (1, 3, 0), (1, 0, 0)])
+def test_mixture_params_reject_empty_chunks(shape):
+    with pytest.raises(StructuralError, match=r"H, D >= 1"):
+        GaussianMixtureFieldParams(np.array([1.0]), np.zeros(shape), np.array([0.4]))
+    components = MixtureComponents(np.array([1.0]), np.array([0.4]))
+    with pytest.raises(StructuralError, match=r"H, D >= 1"):
+        GaussianMixtureFieldParams.from_components(components, np.zeros(shape))
 
 
 def test_mixture_params_are_frozen():

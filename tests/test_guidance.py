@@ -175,6 +175,16 @@ def test_inpaint_target_validation():
         InpaintTarget(np.zeros((2, 1)), np.zeros(3))
 
 
+def test_inpaint_target_is_frozen_and_repeats_the_mask_over_columns():
+    mask = np.array([1.0, 0.25, 0.0])
+    spec = InpaintTarget(np.ones((3, 2)), mask)
+    assert spec.mask is mask
+    assert spec.entry_mask.shape == (3, 2) and np.array_equal(spec.entry_mask, mask[:, None] * np.ones((3, 2)))
+    for name in ("target", "mask", "entry_mask"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, getattr(spec, name))
+
+
 # ---------------------------------------------------------------------------
 # orthogonal trust region
 

@@ -335,8 +335,13 @@ def test_guided_step_clips_weight_at_n_and_leaves_step_zero_unguided(monkeypatch
     config = ExperimentConfig(n_steps=n, output_dir="unused").guidance_for("potr")
     expected = [guidance.pc_weight(k / n, config.weight_sigma, float(n)) for k in range(1, n)]
     assert config.weights == (0.0, *expected)
+    # Each weight is a read-only 0-d float64 array holding pc_weight's float.
+    for w in config.weights:
+        assert type(w) is np.ndarray and w.shape == () and w.dtype == np.float64
+        assert not w.flags.writeable
     if n > 1:  # the first guided step's weight is clipped at beta = n, a float
-        assert type(config.weights[1]) is float and config.weights[1] == float(n)
+        assert type(guidance.pc_weight(1 / n, config.weight_sigma, float(n))) is float
+        assert config.weights[1] == float(n)
 
     # guided_denoise reads each guided step's weight from the config, once.
     read = []

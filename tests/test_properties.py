@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from guidedflow import flow
-from guidedflow.chunking import ChunkExecutor
+from guidedflow.chunking import ChunkExecutor, build_soft_mask
 from guidedflow.envs import (
     ConditionalGMField,
     Observation,
@@ -35,7 +35,13 @@ from guidedflow.flow import (
     gm_linearize,
     gm_velocity,
 )
-from guidedflow.guidance import GuidanceConfig, InpaintTarget, guided_denoise, otr_project
+from guidedflow.guidance import (
+    GuidanceConfig,
+    InpaintTarget,
+    guided_denoise,
+    otr_project,
+    pc_weight,
+)
 from guidedflow.harness import (
     ALL_METRICS,
     SMOOTHNESS_METRICS,
@@ -165,6 +171,123 @@ def test_batched_velocity_equals_per_row_and_linearize(case):
     for bad in (u[0], u[:, None], np.concatenate((u, u))):
         with pytest.raises(StructuralError):
             pullback(bad)
+
+
+# ---------------------------------------------------------------------------
+# the pre-shaped mixture step == the broadcast step it replaced, bit for bit
+
+
+def reference_linearize(chunk, tau, params):
+    """The broadcast ``_mixture_terms``/``gm_linearize`` that the pre-shaped
+    constants replaced; the reference.  Its (K,) constants broadcast against
+    the (B, K) and (B, K, N) terms, and tau is a Python float."""
+    x = np.asarray(chunk, dtype=float)
+    flat = x.reshape(-1, params.flat_means.shape[1])
+    s2, one_m = params.scales**2, 1.0 - tau
+    m2 = tau * tau * s2 + one_m * one_m
+    log_norm = np.log(params.weights) - 0.5 * flat.shape[1] * np.log(m2)
+    two_m2, coef, neg_m2 = 2.0 * m2, (tau * s2 - one_m) / m2, -m2
+    diff = flat[:, None, :] - tau * params.flat_means
+    logp = log_norm - np.add.reduce(diff * diff, axis=2) / two_m2
+    logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
+    resp = np.exp(logp)
+    resp /= np.add.reduce(resp, axis=1, keepdims=True)
+    v_c = params.flat_means + coef[:, None] * diff
+    v = np.add.reduce(resp[:, :, None] * v_c, axis=1)
+
+    def pullback(cotangent):
+        u = np.asarray(cotangent, dtype=float).reshape(v.shape)
+        d_c = diff / neg_m2[:, None]
+        d_spread = d_c - np.add.reduce(resp[:, :, None] * d_c, axis=1, keepdims=True)
+        slope = np.vecdot(resp, coef)
+        u_dot_v = np.add.reduce(u[:, None, :] * v_c, axis=2)
+        out = slope[:, None] * u + np.add.reduce((resp * u_dot_v)[:, :, None] * d_spread, axis=1)
+        return out.reshape(x.shape)
+
+    return v.reshape(x.shape), pullback
+
+
+def reference_otr(g, v, rho):
+    """``otr_project`` as it was, with the 1.0 * g_perp product when it does not clip."""
+    if math.isinf(rho):
+        return g.copy()
+    g_flat, v_flat = g.reshape(-1), v.reshape(-1)
+    v_norm = math.sqrt(v_flat.dot(v_flat))
+    radius = rho * v_norm
+    if v_norm < 1e-8:
+        g_norm = math.hypot(*g_flat)
+        return (radius / g_norm) * g if g_norm > radius else g.copy()
+    g_par = (float(g_flat.dot(v_flat)) / (v_norm * v_norm)) * v_flat
+    g_perp = g_flat - g_par
+    perp_norm = math.sqrt(g_perp.dot(g_perp))
+    scale = radius / perp_norm if perp_norm > radius else 1.0
+    return (g_par + scale * g_perp).reshape(g.shape)
+
+
+def reference_denoise(noise, params, target, mask, config):
+    """The guided Euler loop as it was: Python-float tau, 1 - tau, weights and
+    n, and the (H,) mask broadcast over the D columns."""
+    x, n = noise, config.n_steps
+    for k in range(n):
+        tau = k / n
+        v, pullback = reference_linearize(x, tau, params)
+        if config.guided and k > 0:
+            one_m = 1.0 - tau
+            u = mask[:, None] * (target - (x + one_m * v))
+            g = u + one_m * pullback(u)
+            w = pc_weight(tau, config.weight_sigma, float(n))
+            v = v + reference_otr(w * g, v, config.radius)
+        x = x + v / n
+    return x
+
+
+def seeded_mixture(rng, k, h, d, spread):
+    raw = rng.uniform(0.05, 1.0, k)
+    return GaussianMixtureFieldParams(
+        weights=raw / raw.sum(), means=spread * rng.standard_normal((k, h, d)),
+        scales=rng.uniform(0.05, 2.0, k),
+    )
+
+
+CHUNK_SHAPES = st.sampled_from([(10, 2), (50, 7)])
+
+
+@PROPERTY_SETTINGS
+@given(
+    b=st.sampled_from([1, 3]), k=st.sampled_from([1, 2, 3]), shape=CHUNK_SHAPES,
+    spread=st.sampled_from([1.0, 30.0, 1e3]), tau=unit_floats(0.0, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_preshaped_linearize_equals_the_broadcast_reference(b, k, shape, spread, tau, seed):
+    rng = np.random.default_rng(seed)
+    params = seeded_mixture(rng, k, *shape, spread)
+    x = spread * rng.standard_normal((b, *shape))
+    u = rng.standard_normal((b, *shape))
+    chunks = [(x, u)] + ([(x[0], u[0])] if b == 1 else [])  # a batch of one and an (H, D) chunk
+    for chunk, cotangent in chunks:
+        v, pullback = gm_linearize(chunk, tau, params)
+        v_ref, pullback_ref = reference_linearize(chunk, tau, params)
+        assert v.shape == chunk.shape and v.tobytes() == v_ref.tobytes()
+        assert pullback(cotangent).tobytes() == pullback_ref(cotangent).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    k=st.sampled_from([1, 2, 3]), shape=CHUNK_SHAPES, delay=st.sampled_from([1, 3]),
+    sigma_d=st.sampled_from([0.05, 0.4, 1.0]), rho=st.sampled_from([0.05, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guided_denoise_equals_the_broadcast_reference_loop(k, shape, delay, sigma_d, rho, seed):
+    # rho = 0.05 clips most steps, so both branches of the projection run.
+    rng = np.random.default_rng(seed)
+    params = seeded_mixture(rng, k, *shape, 1.0)
+    field = GaussianMixtureField(params)
+    mask = build_soft_mask(shape[0], delay, delay)
+    target, noise = rng.standard_normal(shape), rng.standard_normal(shape)
+    for method in ("naive", "rtc", "pc", "potr"):
+        config = GuidanceConfig(method=method, sigma_d=sigma_d, rho=rho)
+        out = guided_denoise(noise, None, field, InpaintTarget(target, mask), config)
+        assert out.tobytes() == reference_denoise(noise, params, target, mask, config).tobytes()
 
 
 # ---------------------------------------------------------------------------
