@@ -33,7 +33,6 @@ from .flow import (
     GaussianMixtureFieldParams,
     VelocityField,
     gm_linearize,
-    gm_velocity,
 )
 from .guidance import (
     GuidanceConfig,

@@ -18,8 +18,10 @@ mixture: per component with mean mu and scale s,
 
 and the mixture velocity weights the v_c by the posterior responsibilities of
 x under the component marginals N(tau mu_c, (tau^2 s_c^2 + (1-tau)^2) I).
-Everything here is a pure function over value types; callers may parallelize
-freely.
+A policy plugs in as a ``VelocityField``, whose one method ``linearize``
+returns the velocity and its pullback; ``gm_linearize`` computes both for
+the mixture prior.  Everything here is a pure function over value types;
+callers may parallelize freely.
 """
 
 from __future__ import annotations
@@ -39,13 +41,8 @@ __all__ = [
     "GaussianMixtureFieldParams",
     "GaussianMixtureField",
     "as_chunk",
-    "gm_velocity",
     "gm_linearize",
 ]
-
-# Central-difference step for numerical velocity Jacobians; balances
-# truncation against roundoff on unit-scale float64 data.
-FD_STEP = 1e-5
 
 
 def as_chunk(data: Any, name: str = "chunk") -> np.ndarray:
@@ -59,44 +56,21 @@ def as_chunk(data: Any, name: str = "chunk") -> np.ndarray:
 
 
 class VelocityField(abc.ABC):
-    """Conditional velocity evaluator v(x, tau, observation).
+    """Conditional velocity field v(x, tau, observation) and its pullback.
 
-    Subclasses implement ``evaluate``, which must return finite values for
-    tau in [0, 1) and finite input.  ``linearize`` defaults to ``evaluate``
-    plus a finite-difference pullback; fields with an analytic Jacobian
-    override it to share one evaluation between the two.
+    ``linearize`` is the whole contract: it returns the velocity, finite for
+    tau in [0, 1) and finite input, with the pullback there, so that a
+    guided solver step gets both from one evaluation.  The solver calls the
+    pullback only on guided steps, so a field should defer its work to the
+    call; one without an analytic Jacobian supplies its own, from autodiff
+    for example.
     """
 
     @abc.abstractmethod
-    def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
-        """Velocity at ``chunk`` for denoising time ``tau``; same shape as ``chunk``."""
-
     def linearize(
         self, chunk: np.ndarray, tau: float, observation: Any = None
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """The velocity at ``chunk`` and its pullback u -> u^T (dv/dx) there.
-
-        The default pullback takes central finite differences with step
-        ``FD_STEP``, one pair of ``evaluate`` calls per chunk entry.
-        """
-        x = np.asarray(chunk, dtype=float)
-
-        def pullback(cotangent: np.ndarray) -> np.ndarray:
-            u = np.asarray(cotangent, dtype=float)
-            if u.shape != x.shape:
-                raise StructuralError(f"cotangent shape {u.shape} != chunk shape {x.shape}")
-            out = np.empty_like(x)
-            flat = out.reshape(-1)
-            for j in range(x.size):
-                probe = x.copy().reshape(-1)
-                probe[j] += FD_STEP
-                v_plus = self.evaluate(probe.reshape(x.shape), tau, observation)
-                probe[j] -= 2.0 * FD_STEP
-                v_minus = self.evaluate(probe.reshape(x.shape), tau, observation)
-                flat[j] = float(np.sum(u * (v_plus - v_minus))) / (2.0 * FD_STEP)
-            return out
-
-        return self.evaluate(chunk, tau, observation), pullback
+        """The velocity at ``chunk`` (same shape) and its pullback u -> u^T (dv/dx) there."""
 
 
 @dataclass(frozen=True)
@@ -118,13 +92,15 @@ class MixtureComponents:
             raise StructuralError("mixture must have at least one component")
         if self.scales.shape != self.weights.shape:
             raise StructuralError("scales and weights must have matching length")
+        with np.errstate(over="ignore"):  # an overflowing square is rejected below
+            scales_sq = self.scales**2
         # Written so that NaN fails every test: the solver trusts these values.
-        if not ((self.scales > 0.0) & (self.scales < np.inf)).all():
-            raise StructuralError("component scales must be positive and finite")
+        if not ((self.scales > 0.0) & (scales_sq < np.inf)).all():
+            raise StructuralError("component scales must be positive with a finite square")
         if not ((self.weights > 0.0).all() and abs(float(self.weights.sum()) - 1.0) <= 1e-12):
             raise StructuralError("component weights must be positive and sum to 1")
         set_field("log_weights", np.log(self.weights))
-        set_field("scales_sq", self.scales**2)
+        set_field("scales_sq", scales_sq)
         for arr in (self.weights, self.scales, self.log_weights, self.scales_sq):
             arr.flags.writeable = False
         set_field("tau_key", (self.scales_sq.tobytes(), self.log_weights.tobytes()))
@@ -212,16 +188,6 @@ def _mixture_terms(x: np.ndarray, tau: float, params: GaussianMixtureFieldParams
     return resp, coef, coef_n, diff, neg_m2
 
 
-def gm_velocity(chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams) -> np.ndarray:
-    """Exact marginal velocity E[x1 - eps | x_tau = chunk]: ``gm_linearize``'s velocity.
-
-    For a single component (mu, s) this is
-    mu + ((tau s^2 - (1-tau)) / (tau^2 s^2 + (1-tau)^2)) * (chunk - tau mu);
-    mixture components are blended by posterior responsibilities.
-    """
-    return gm_linearize(chunk, tau, params)[0]
-
-
 def gm_linearize(
     chunk: np.ndarray, tau: float, params: GaussianMixtureFieldParams
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -237,8 +203,9 @@ def gm_linearize(
         grad r_c = r_c (d_c - sum_k r_k d_k),
 
     so the pullback of u is (sum_c r_c c_c) u + sum_c r_c <u, v_c> (d_c - dbar).
-    The pullback builds these Jacobian pieces only when called.  Raises
-    DomainError at tau = 1, where the path endpoint degenerates.
+    The pullback builds these Jacobian pieces only when called, so a caller
+    that needs only v pays for v alone.  Raises DomainError at tau = 1,
+    where the path endpoint degenerates.
     """
     tau = float(tau)
     if not (0.0 <= tau < 1.0):  # NaN fails too
@@ -284,9 +251,6 @@ class GaussianMixtureField(VelocityField):
 
     def field_params(self, observation: Any) -> GaussianMixtureFieldParams:
         return self.params
-
-    def evaluate(self, chunk: np.ndarray, tau: float, observation: Any = None) -> np.ndarray:
-        return gm_velocity(chunk, tau, self.field_params(observation))
 
     def linearize(self, chunk: np.ndarray, tau: float, observation: Any = None):
         return gm_linearize(chunk, tau, self.field_params(observation))

@@ -225,14 +225,14 @@ def guided_denoise(
 ) -> np.ndarray:
     """Run the full guided Euler denoising loop and return the clean chunk.
 
-    For k = 0 .. n-1 at tau = k/n: evaluate the velocity and take the Euler
-    step x + v / n.  Unless the method is NAIVE or k = 0 (where the weight
-    is undefined), the step instead linearizes the field, so the velocity
-    and its pullback come from one evaluation; computes the pseudoinverse
-    correction g, weights it by the config's ``weights[k]`` (w_pc at its
+    For k = 0 .. n-1 at tau = k/n: linearize the field once, for the
+    velocity v and its pullback, and take the Euler step x + v / n.  Unless
+    the method is NAIVE or k = 0 (where the weight is undefined), the step
+    also calls the pullback: it computes the pseudoinverse correction g,
+    weights it by the config's ``weights[k]`` (w_pc at its
     ``weight_sigma``, clipped at beta = n), trust-region-projects it at the
     config's ``radius`` and steps with x + (v + g_final) / n.  NAIVE shares
-    the identical loop with guidance short-circuited, so baselines are
+    the identical loop with the pullback never called, so baselines are
     bit-comparable.  ``noise`` is validated once; a step velocity of the
     wrong shape raises StructuralError and a non-finite one NumericError,
     naming the solver step.
@@ -248,22 +248,19 @@ def guided_denoise(
     n_0d = np.array(float(n))  # x / n == x / float(n); a 0-d divisor converts for free
     for k in range(n):
         tau = k / n
-        if not config.guided or k == 0:
-            step_velocity = field.evaluate(x, tau, observation)
-        else:
-            velocity, pullback = field.linearize(x, tau, observation)
+        velocity, pullback = field.linearize(x, tau, observation)
+        if config.guided and k:
             try:
                 g = pseudoinverse_correction(x, tau, velocity, inpaint, pullback)
-                g_final = otr_project(config.weights[k] * g, velocity, config.radius)
+                velocity = velocity + otr_project(config.weights[k] * g, velocity, config.radius)
             except StructuralError as err:
                 raise StructuralError(f"denoising step {k}: {err}") from err
-            step_velocity = velocity + g_final
-        step_velocity = np.asarray(step_velocity, dtype=float)
-        if step_velocity.shape != x.shape:
+        velocity = np.asarray(velocity, dtype=float)
+        if velocity.shape != x.shape:
             raise StructuralError(
-                f"velocity shape {step_velocity.shape} != chunk shape {x.shape} at solver step {k}"
+                f"velocity shape {velocity.shape} != chunk shape {x.shape} at solver step {k}"
             )
-        if not np.isfinite(step_velocity).all():
+        if not np.isfinite(velocity).all():
             raise NumericError(f"non-finite velocity at solver step {k}")
-        x = x + step_velocity / n_0d
+        x = x + velocity / n_0d
     return x

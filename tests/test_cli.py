@@ -72,7 +72,7 @@ def test_config_error_exit_code(tmp_path):
     [
         "sigma_d = 0", "rho = -1", "n_steps = 0", "mask_decay = 1.5", "epsilon = 1",
         "variants = unimodal:x", "delays =",
-        "sigma_cond = -1", "sigma_cond = nan", "ctrl_frac = 2",
+        "sigma_cond = -1", "sigma_cond = nan", "sigma_cond = 1e300", "ctrl_frac = 2",
         "action_noise_std = -1", "action_noise_std = nan", "max_steps = 0", "max_steps = -5",
         "goal_tolerance = nan", "goal_tolerance = -1", "overrun_fail_fraction = nan",
         "overrun_fail_fraction = 0.25", "delays = 6", "horizon = 3",

@@ -304,6 +304,7 @@ def mixture_with(weights=(0.5, 0.5), scales=(0.4, 0.4), mean_entry=0.0):
         lambda: mixture_with(weights=(NAN, 0.5)),
         lambda: mixture_with(scales=(0.4, NAN)),
         lambda: mixture_with(scales=(0.4, INF)),
+        lambda: mixture_with(scales=(0.4, 1e300)),  # finite, but its square overflows
         lambda: mixture_with(mean_entry=NAN),
         lambda: mixture_with(mean_entry=INF),
         lambda: mixture_with(mean_entry=-INF),
@@ -317,8 +318,8 @@ def mixture_with(weights=(0.5, 0.5), scales=(0.4, 0.4), mean_entry=0.0):
         lambda: PointMassEnv(start=(0.0, 0.0), goal=(1.0, 0.0), dynamics_gain=NAN),
     ],
     ids=[
-        "weight-nan", "scale-nan", "scale-inf", "mean-nan", "mean-inf", "mean-neg-inf",
-        "mask-nan", "sigma_cond-nan", "sigma_cond-inf", "gain-nan", "clearance-nan",
+        "weight-nan", "scale-nan", "scale-inf", "scale-sq-inf", "mean-nan", "mean-inf",
+        "mean-neg-inf", "mask-nan", "sigma_cond-nan", "sigma_cond-inf", "gain-nan", "clearance-nan",
         "env-start-nan", "env-goal-inf", "env-gain-nan",
     ],
 )

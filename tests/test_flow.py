@@ -13,9 +13,9 @@ from guidedflow.flow import (
     VelocityField,
     as_chunk,
     gm_linearize,
-    gm_velocity,
 )
 from guidedflow.guidance import GuidanceConfig, guided_denoise
+from guidedflow.verify import _fd_pullback
 
 
 def single_gaussian(mu, scale):
@@ -36,11 +36,19 @@ class ConstantField(VelocityField):
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def evaluate(self, chunk, tau, observation=None):
-        return np.broadcast_to(self.value, chunk.shape).copy()
-
     def linearize(self, chunk, tau, observation=None):
-        return self.evaluate(chunk, tau), lambda u: np.zeros_like(np.asarray(u, dtype=float))
+        v = np.broadcast_to(self.value, chunk.shape).copy()
+        return v, lambda u: np.zeros_like(np.asarray(u, dtype=float))
+
+
+def test_linearize_is_the_only_abstract_method():
+    # A field that supplies only a velocity method is not a field.
+    evaluate_only = type(
+        "EvaluateOnly", (VelocityField,), {"evaluate": lambda self, chunk, tau, obs=None: chunk}
+    )
+    with pytest.raises(TypeError, match="linearize"):
+        evaluate_only()
+    assert VelocityField.__abstractmethods__ == {"linearize"}
 
 
 def mc_velocity_scalar(params, tau, x, n_samples, rng, delta):
@@ -71,9 +79,9 @@ class RecordingField(VelocityField):
         self.velocities = velocities
         self.taus = []
 
-    def evaluate(self, chunk, tau, observation=None):
+    def linearize(self, chunk, tau, observation=None):
         self.taus.append(tau)
-        return self.velocities[len(self.taus) - 1]
+        return self.velocities[len(self.taus) - 1], np.zeros_like
 
 
 def naive(n):
@@ -144,7 +152,7 @@ def test_euler_convergence_to_exact_flow_endpoint():
 
 
 # ---------------------------------------------------------------------------
-# gm_velocity
+# the mixture velocity, gm_linearize(...)[0]
 
 
 def test_gm_velocity_at_tau_zero_is_mean_minus_x():
@@ -153,7 +161,7 @@ def test_gm_velocity_at_tau_zero_is_mean_minus_x():
     params = single_gaussian(mu, 0.7)
     for _ in range(5):
         x = 2.0 * rng.standard_normal((2, 2))
-        assert np.allclose(gm_velocity(x, 0.0, params), mu - x, atol=1e-12)
+        assert np.allclose(gm_linearize(x, 0.0, params)[0], mu - x, atol=1e-12)
 
 
 def test_gm_velocity_tau_zero_against_mc_regression():
@@ -161,21 +169,23 @@ def test_gm_velocity_tau_zero_against_mc_regression():
     rng = np.random.default_rng(42)
     for x in (-0.5, 0.4):
         est, se = mc_velocity_scalar(params, 0.0, x, 1_000_000, rng, delta=0.01)
-        exact = gm_velocity(np.array([[x]]), 0.0, params)[0, 0]
+        exact = gm_linearize(np.array([[x]]), 0.0, params)[0][0, 0]
         assert abs(exact - est) <= 3 * se
 
 
 def test_gm_velocity_symmetric_zero():
     params = single_gaussian(np.zeros((1, 1)), 1.0)
-    assert gm_velocity(np.zeros((1, 1)), 0.5, params)[0, 0] == pytest.approx(0.0, abs=1e-14)
+    v = gm_linearize(np.zeros((1, 1)), 0.5, params)[0]
+    assert v[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gm_velocity_bimodal_symmetry_and_mc():
     params = scalar_mixture([-1.0, 1.0], [0.1, 0.1], [0.5, 0.5])
-    assert gm_velocity(np.zeros((1, 1)), 0.5, params)[0, 0] == pytest.approx(0.0, abs=1e-12)
+    v = gm_linearize(np.zeros((1, 1)), 0.5, params)[0]
+    assert v[0, 0] == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(7)
     est, se = mc_velocity_scalar(params, 0.5, 0.3, 1_000_000, rng, delta=0.01)
-    exact = gm_velocity(np.array([[0.3]]), 0.5, params)[0, 0]
+    exact = gm_linearize(np.array([[0.3]]), 0.5, params)[0][0, 0]
     assert abs(exact - est) <= 3 * se
 
 
@@ -187,15 +197,16 @@ def test_gm_velocity_single_equals_duplicated_component():
     )
     x = np.array([[0.9, -1.4]])
     for tau in (0.0, 0.3, 0.77):
-        assert np.allclose(gm_velocity(x, tau, one), gm_velocity(x, tau, two), atol=1e-12)
+        v_one, v_two = (gm_linearize(x, tau, params)[0] for params in (one, two))
+        assert np.allclose(v_one, v_two, atol=1e-12)
 
 
 def test_gm_velocity_domain_and_structure_errors():
     params = single_gaussian(np.zeros((1, 1)), 1.0)
     with pytest.raises(DomainError):
-        gm_velocity(np.zeros((1, 1)), 1.0, params)
+        gm_linearize(np.zeros((1, 1)), 1.0, params)
     with pytest.raises(DomainError):
-        gm_velocity(np.zeros((1, 1)), -0.1, params)
+        gm_linearize(np.zeros((1, 1)), -0.1, params)
     with pytest.raises(StructuralError):
         GaussianMixtureFieldParams(np.array([]), np.zeros((0, 1, 1)), np.array([]))
     with pytest.raises(StructuralError):
@@ -231,10 +242,10 @@ def test_gm_velocity_batch_matches_single():
     rng = np.random.default_rng(5)
     params = scalar_mixture([-0.5, 0.8], [0.4, 0.9], [0.3, 0.7])
     batch = rng.standard_normal((6, 1, 1))
-    vb = gm_velocity(batch, 0.4, params)
+    vb = gm_linearize(batch, 0.4, params)[0]
     assert vb.shape == batch.shape
     for i in range(6):
-        assert np.allclose(vb[i], gm_velocity(batch[i], 0.4, params), atol=1e-14)
+        assert np.allclose(vb[i], gm_linearize(batch[i], 0.4, params)[0], atol=1e-14)
 
 
 def test_sampler_moments_match_prior():
@@ -246,7 +257,7 @@ def test_sampler_moments_match_prior():
         params = single_gaussian(mu, s)
         samples = rng.standard_normal((10_000, 2, 2))
         for k in range(64):
-            samples = samples + gm_velocity(samples, k / 64, params) / 64
+            samples = samples + gm_linearize(samples, k / 64, params)[0] / 64
         err_mean = np.abs(samples.mean(axis=0) - mu)
         assert err_mean.max() < 0.05
         stds = samples.std(axis=0)
@@ -268,18 +279,12 @@ def test_clean_estimate_near_deterministic_prior():
         a1 = mu + s * rng.standard_normal((2, 2))
         eps = rng.standard_normal((2, 2))
         x = tau * a1 + (1 - tau) * eps
-        est = x + (1 - tau) * gm_velocity(x, tau, params)
+        est = x + (1 - tau) * gm_linearize(x, tau, params)[0]
         assert np.abs(est - mu).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------
 # the VJP through the one-step clean estimate: u + (1 - tau) u^T dv/dx
-
-
-class HiddenLinearization(GaussianMixtureField):
-    """The mixture field with its analytic linearization hidden."""
-
-    linearize = VelocityField.linearize
 
 
 def test_estimate_vjp_constant_field_returns_cotangent():
@@ -300,7 +305,7 @@ def test_estimate_vjp_scalar_closed_form():
     x = np.array([[0.5]])
     got = u + (1 - tau) * field.linearize(x, tau)[1](u)
     assert np.allclose(got, expected, rtol=1e-12)
-    fd = u + (1 - tau) * HiddenLinearization(params).linearize(x, tau)[1](u)
+    fd = u + (1 - tau) * _fd_pullback(params, x, tau, u)
     assert np.allclose(got, fd, rtol=1e-6)
 
 
@@ -327,7 +332,7 @@ def test_estimate_vjp_matches_finite_differences_random_mixtures(case):
     # The raw pullbacks: the estimate's shared u term would dilute the error.
     params, x, u, tau = case
     a = GaussianMixtureField(params).linearize(x, tau)[1](u)
-    n = HiddenLinearization(params).linearize(x, tau)[1](u)
+    n = _fd_pullback(params, x, tau, u)
     assert np.linalg.norm(a - n) <= 1e-4 * max(np.linalg.norm(n), 1e-8)
 
 
@@ -350,10 +355,6 @@ def test_gm_velocity_vjp_rejects_bad_cotangent_shape():
     params = single_gaussian(np.zeros((2, 2)), 1.0)
     with pytest.raises(StructuralError):
         gm_linearize(np.zeros((2, 2)), 0.5, params)[1](np.zeros((1, 2)))
-    # The finite-difference default checks the cotangent the same way.
-    _, pullback = VelocityField.linearize(GaussianMixtureField(params), np.zeros((2, 2)), 0.5)
-    with pytest.raises(StructuralError):
-        pullback(np.zeros((1, 2)))
 
 
 def test_as_chunk_validation():

@@ -11,7 +11,7 @@ from guidedflow.flow import (
     GaussianMixtureField,
     GaussianMixtureFieldParams,
     VelocityField,
-    gm_velocity,
+    gm_linearize,
 )
 from guidedflow.guidance import (
     GuidanceConfig,
@@ -37,11 +37,9 @@ class ConstantField(VelocityField):
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def evaluate(self, chunk, tau, observation=None):
-        return np.broadcast_to(self.value, chunk.shape).copy()
-
     def linearize(self, chunk, tau, observation=None):
-        return self.evaluate(chunk, tau), lambda u: np.zeros_like(np.asarray(u, dtype=float))
+        v = np.broadcast_to(self.value, chunk.shape).copy()
+        return v, lambda u: np.zeros_like(np.asarray(u, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +126,14 @@ def test_weight_dominance_and_symmetry():
         assert pc_weight(tau, 1.0, big) == pytest.approx(pc_weight(1 - tau, 1.0, big), rel=1e-12)
     asym = [abs(pc_weight(t, 0.4, big) - pc_weight(1 - t, 0.4, big)) for t in taus]
     assert max(asym) > 1.0
+
+
+@pytest.mark.parametrize("sigma_d, clipped", [(0.1, 9), (0.2, 9), (0.4, 4)])
+def test_clip_makes_pc_a_constant_weight_at_small_sigma(sigma_d, clipped):
+    # At n = 10 the clip beta = 10 binds on every guided step for sigma_d <= 0.2,
+    # so grid-sigma's first two rows are one schedule; at the shipped 0.4 it binds on 4 of 9.
+    weights = GuidanceConfig(method="pc", sigma_d=sigma_d, n_steps=10).weights[1:]
+    assert sum(w == 10.0 for w in weights) == clipped
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +293,7 @@ def test_naive_equals_unguided_integration():
     cfg = GuidanceConfig(method=GuidanceMethod.NAIVE, n_steps=8)
     x = noise
     for k in range(8):
-        x = x + gm_velocity(x, k / 8, params) / 8
+        x = x + gm_linearize(x, k / 8, params)[0] / 8
     assert np.array_equal(guided_denoise(noise, None, field, None, cfg), x)
 
 
@@ -363,12 +369,9 @@ def test_guided_requires_inpaint_target():
 def test_denoise_error_carries_step_index():
     # A NaN pullback from tau = 0.3 on is caught by the step-velocity check.
     class ExplodingField(VelocityField):
-        def evaluate(self, chunk, tau, observation=None):
-            return np.zeros_like(chunk)
-
         def linearize(self, chunk, tau, observation=None):
             fill = np.nan if tau >= 0.3 else 0.0
-            return self.evaluate(chunk, tau), lambda u: np.full_like(u, fill)
+            return np.zeros_like(chunk), lambda u: np.full_like(u, fill)
 
     spec = InpaintTarget(np.ones((2, 2)), np.ones(2))
     for method in ("rtc", "pc", "potr"):
@@ -381,13 +384,12 @@ def test_denoise_error_carries_step_index():
 @pytest.mark.parametrize("method", ["rtc", "pc", "potr"])
 def test_guided_step_velocity_shape_mismatch_names_step(method):
     # A (1, D) velocity for an (H, D) chunk would broadcast through the clean
-    # estimate; the correction rejects it at the first guided step.
+    # estimate; the correction rejects it at the first guided step.  At
+    # tau = 0 the velocity has the full shape, so step 0 passes.
     class RowVelocityField(VelocityField):
-        def evaluate(self, chunk, tau, observation=None):
-            return np.zeros_like(chunk)
-
         def linearize(self, chunk, tau, observation=None):
-            return np.zeros((1, chunk.shape[1])), lambda u: np.zeros_like(u)
+            rows = chunk.shape[0] if tau == 0.0 else 1
+            return np.zeros((rows, chunk.shape[1])), lambda u: np.zeros_like(u)
 
     spec = InpaintTarget(np.ones((3, 2)), np.ones(3))
     message = r"^denoising step 1: velocity shape \(1, 2\) != chunk shape \(3, 2\)$"

@@ -352,17 +352,22 @@ def test_guided_step_clips_weight_at_n_and_leaves_step_zero_unguided(monkeypatch
 
     object.__setattr__(config, "weights", RecordingWeights(config.weights))
     field = make_field(default_variants()[0])
-    linearized = []
+    linearized, pulled_back = [], []
     linearize = field.linearize
-    monkeypatch.setattr(
-        field, "linearize", lambda x, tau, obs: linearized.append(tau) or linearize(x, tau, obs)
-    )
+
+    def recording_linearize(x, tau, obs):
+        linearized.append(tau)
+        v, pullback = linearize(x, tau, obs)
+        return v, lambda u: pulled_back.append(tau) or pullback(u)
+
+    monkeypatch.setattr(field, "linearize", recording_linearize)
     obs = Observation(position=np.array([-1.0, 0.0]), goal=np.array([0.75, 0.0]))
     rng = np.random.default_rng(3)
     spec = InpaintTarget(rng.standard_normal((10, 2)), np.linspace(1.0, 0.0, 10))
     guided_denoise(rng.standard_normal((10, 2)), obs, field, spec, config)
-    # Only the guided steps linearize, and each reads its own weight.
-    assert linearized == [k / n for k in read] == [k / n for k in range(1, n)]
+    # Every step linearizes; only the guided steps pull back, and each reads its own weight.
+    assert linearized == [k / n for k in range(n)]
+    assert pulled_back == [k / n for k in read] == [k / n for k in range(1, n)]
 
 
 def test_config_validation_errors():

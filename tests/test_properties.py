@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from guidedflow import flow
+from guidedflow import flow, verify
 from guidedflow.chunking import ChunkExecutor, build_soft_mask
 from guidedflow.envs import (
     ConditionalGMField,
@@ -33,7 +33,6 @@ from guidedflow.flow import (
     GaussianMixtureFieldParams,
     VelocityField,
     gm_linearize,
-    gm_velocity,
 )
 from guidedflow.guidance import (
     GuidanceConfig,
@@ -106,12 +105,6 @@ def conditional_points(draw):
     return field, env.observe(), x, tau, u
 
 
-class NumericOnly(GaussianMixtureField):
-    """The mixture field with the analytic linearization hidden."""
-
-    linearize = VelocityField.linearize
-
-
 @PROPERTY_SETTINGS
 @given(mixture_points(), conditional_points())
 def test_linearize_equals_evaluate_and_vjp(case, conditional_case):
@@ -119,14 +112,13 @@ def test_linearize_equals_evaluate_and_vjp(case, conditional_case):
     conditional, obs, x_c, tau_c, u_c = conditional_case
     points = [
         (GaussianMixtureField(params), None, x, tau, u),
-        (NumericOnly(params), None, x, tau, u),
         (conditional, obs, x_c, tau_c, u_c),
     ]
     for field, o, chunk, t, cotangent in points:
         v, pullback = field.linearize(chunk, t, o)
-        assert np.array_equal(v, field.evaluate(chunk, t, o))
         g = pullback(cotangent)
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
+    assert np.all(np.isfinite(verify._fd_pullback(params, x, tau, u)))
     # The conditional field is the mixture field of its conditioned parameters.
     v, pullback = conditional.linearize(x_c, tau_c, obs)
     v_gm, pullback_gm = GaussianMixtureField(conditional.field_params(obs)).linearize(x_c, tau_c)
@@ -162,7 +154,7 @@ def mixture_batches(draw):
 def test_batched_velocity_equals_per_row_and_linearize(case):
     params, x, tau, u = case
     batched, pullback = gm_linearize(x, tau, params)
-    assert batched.shape == x.shape and np.array_equal(gm_velocity(x, tau, params), batched)
+    assert batched.shape == x.shape
     g = pullback(u)
     for row, v_row, u_row, g_row in zip(x, batched, u, g):
         v, row_pullback = gm_linearize(row, tau, params)
@@ -781,8 +773,8 @@ def test_row_file_round_trip(rows):
 class ZeroField(VelocityField):
     """v = 0, so a naive chunk is its noise bit for bit."""
 
-    def evaluate(self, chunk, tau, observation=None):
-        return np.zeros_like(chunk)
+    def linearize(self, chunk, tau, observation=None):
+        return np.zeros_like(chunk), np.zeros_like
 
 
 class CountingEnv:
